@@ -11,7 +11,7 @@
 //	experiments -fig7a -csv       # CSV output
 //	experiments -fig7a -max-cpus 8  # truncate the CPU sweep
 //	experiments -all -jsonl cells.jsonl -progress  # observable run
-//	experiments -scale -shards 8 -spill-dir spill -scale-stats  # 1k-16k rank sweep on the sharded DES
+//	experiments -scale -shards 8 -spill-dir spill  # 1k-16k rank sweep on the sharded DES
 //	experiments -tenants              # multi-tenant server: latency percentiles at 100-10k sessions
 //	experiments -adapt                # adaptive controller: overhead/retention vs budget on all kernels
 //	experiments -compact              # trace bytes/event at Full: verbatim vs redundancy-suppressed
@@ -39,7 +39,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"syscall"
 	"time"
 
 	"dynprof/internal/des"
@@ -59,21 +58,6 @@ func run() error {
 		table1   = flag.Bool("table1", false, "Table 1: dynprof commands")
 		table2   = flag.Bool("table2", false, "Table 2: the ASCI kernel applications")
 		table3   = flag.Bool("table3", false, "Table 3: the instrumentation policies")
-		fig7a    = flag.Bool("fig7a", false, "Figure 7(a): Smg98 execution times")
-		fig7b    = flag.Bool("fig7b", false, "Figure 7(b): Sppm execution times")
-		fig7c    = flag.Bool("fig7c", false, "Figure 7(c): Sweep3d execution times")
-		fig7d    = flag.Bool("fig7d", false, "Figure 7(d): Umt98 execution times")
-		fig8a    = flag.Bool("fig8a", false, "Figure 8(a): VT_confsync on IBM")
-		fig8b    = flag.Bool("fig8b", false, "Figure 8(b): statistics write on IBM")
-		fig8c    = flag.Bool("fig8c", false, "Figure 8(c): VT_confsync on IA32")
-		fig9     = flag.Bool("fig9", false, "Figure 9: time to create and instrument")
-		hybrid   = flag.Bool("hybrid", false, "Section 5.1 hybrid: dynamically inserted confsync points")
-		faults   = flag.Bool("faults", false, "fault-injection sweep: run and confsync cost vs fault intensity")
-		scale    = flag.Bool("scale", false, "scale sweep: instrumented kernels at 1k/4k/16k ranks on the sharded DES")
-		tenants  = flag.Bool("tenants", false, "tenants sweep: control-op latency percentiles at 100/1k/10k concurrent sessions")
-		adapt    = flag.Bool("adapt", false, "adapt sweep: achieved overhead and retained events vs perturbation budget on all four kernels")
-		recoverF = flag.Bool("recover", false, "recover sweep: reconvergence latency, lost-event fraction, and co-tenant impact vs daemon MTBF")
-		compactF = flag.Bool("compact", false, "compact sweep: trace bytes per event at Full instrumentation, verbatim vs redundancy-suppressed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		maxCPUs  = flag.Int("max-cpus", 0, "truncate CPU sweeps (0 = the paper's full range)")
 		seed     = flag.Uint64("seed", exp.DefaultSeed, "simulation seed")
@@ -84,7 +68,6 @@ func run() error {
 		shards         = flag.Int("shards", 0, "DES shard count for -scale cells (0 = "+fmt.Sprint(exp.DefaultScaleShards)+"); results are fixed per shard count")
 		spillDir       = flag.String("spill-dir", "", "stream -scale trace arenas to spill files under DIR, bounding resident memory")
 		spillThreshold = flag.Int("spill-threshold", 0, "per-shard resident events before a spill (0 = "+fmt.Sprint(exp.DefaultSpillThreshold)+")")
-		scaleStats     = flag.Bool("scale-stats", false, "report events/sec and peak RSS of the sweep on stderr")
 
 		cacheDir    = flag.String("cache-dir", "", "journal finished cells to DIR/"+exp.StoreJournalName+" (crash-safe, fsynced)")
 		resume      = flag.Bool("resume", false, "serve finished cells from the -cache-dir journal instead of re-executing them")
@@ -97,6 +80,12 @@ func run() error {
 		memProfile = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 		execTrace  = flag.String("trace", "", "write a runtime execution trace of the sweep to this file")
 	)
+	// One boolean flag per registered figure, named by its ID.
+	registry := exp.Registry()
+	selected := make([]*bool, len(registry))
+	for i, d := range registry {
+		selected[i] = flag.Bool(d.ID, false, d.Description)
+	}
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -183,18 +172,6 @@ func run() error {
 		enc := json.NewEncoder(jw)
 		opts.OnCell = func(ev exp.CellEvent) { _ = enc.Encode(ev) }
 	}
-	var totalEvents uint64
-	if *scaleStats {
-		// Cell events are emitted serially during deterministic assembly,
-		// so the chained accumulator needs no locking.
-		prev := opts.OnCell
-		opts.OnCell = func(ev exp.CellEvent) {
-			totalEvents += ev.Events
-			if prev != nil {
-				prev(ev)
-			}
-		}
-	}
 	runner := exp.NewRunner(opts)
 
 	out := os.Stdout
@@ -228,28 +205,9 @@ func run() error {
 	// work-list through one Runner call so cells shared between figures
 	// run exactly once.
 	var ids []string
-	for _, f := range []struct {
-		on bool
-		id string
-	}{
-		{*all || *fig7a, "fig7a"},
-		{*all || *fig7b, "fig7b"},
-		{*all || *fig7c, "fig7c"},
-		{*all || *fig7d, "fig7d"},
-		{*all || *fig8a, "fig8a"},
-		{*all || *fig8b, "fig8b"},
-		{*all || *fig8c, "fig8c"},
-		{*all || *fig9, "fig9"},
-		{*hybrid, "hybrid"},
-		{*faults, "faults"},
-		{*scale, "scale"},
-		{*tenants, "tenants"},
-		{*adapt, "adapt"},
-		{*recoverF, "recover"},
-		{*compactF, "compact"},
-	} {
-		if f.on {
-			ids = append(ids, f.id)
+	for i, d := range registry {
+		if *selected[i] || (*all && d.Set == exp.PaperSweep) {
+			ids = append(ids, d.ID)
 		}
 	}
 	if len(ids) > 0 {
@@ -293,27 +251,8 @@ func run() error {
 				m.Wall.Round(1e6), m.Busy.Round(1e6), m.Virtual.Seconds(), 100*m.Utilization())
 		}
 	}
-	if *scaleStats {
-		m := runner.Metrics()
-		eps := 0.0
-		if m.Wall > 0 {
-			eps = float64(totalEvents) / m.Wall.Seconds()
-		}
-		fmt.Fprintf(os.Stderr, "scale-stats: events=%d wall=%s events_per_sec=%.0f peak_rss_kb=%d\n",
-			totalEvents, m.Wall.Round(time.Millisecond), eps, peakRSSKB())
-	}
 	if !any {
 		flag.Usage()
 	}
 	return nil
-}
-
-// peakRSSKB reports the process's peak resident set size in KiB (0 if the
-// platform does not expose it).
-func peakRSSKB() int64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	return int64(ru.Maxrss)
 }

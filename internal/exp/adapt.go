@@ -87,7 +87,7 @@ func (s AdaptSpec) Key() string {
 		n.App, n.Budget, n.Epoch, n.CPUs, n.Machine.Name, argsKey(n.Args), n.Seed, faultKey(n.Machine))
 }
 
-func (s AdaptSpec) runCell(bud des.Budget) (any, error) { return runAdaptCell(s, bud) }
+func (s AdaptSpec) runCell(bud des.Budget) (cellResult, error) { return runAdaptCell(s, bud) }
 
 // AdaptResult is one measured adaptive run.
 type AdaptResult struct {
@@ -121,6 +121,10 @@ type AdaptResult struct {
 	// Faults is the run's fault-event stream (empty without a plan).
 	Faults []fault.Event
 }
+
+func (r AdaptResult) elapsed() des.Time     { return r.Elapsed }
+func (r AdaptResult) events() uint64        { return r.Events }
+func (r AdaptResult) faults() []fault.Event { return r.Faults }
 
 // RunAdapt executes one adaptive cell.
 func RunAdapt(spec AdaptSpec) (AdaptResult, error) {
@@ -211,14 +215,12 @@ func runAdaptiveSession(mach *machine.Config, app *guide.App, cpus int, args map
 
 // planAdapt enumerates the adapt figure: for each kernel, the achieved
 // removable overhead and the retained-event fraction (both in percent)
-// across the budget axis. Deliberately absent from FigureIDs() — like
-// "scale" and "tenants", it exists on demand and leaves the golden figure
-// set byte-identical. Both series of an app share one cell per budget, so
-// the Runner executes each run exactly once. opts.MaxCPUs truncates the
-// budget axis (its percent values double as the x coordinate).
-func planAdapt(opts Options) *figurePlan {
+// across the budget axis. Both series of an app share one cell per
+// budget, so the Runner executes each run exactly once. opts.MaxCPUs
+// truncates the budget axis (its percent values double as the x
+// coordinate).
+func planAdapt(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "adapt",
 		Title:  "Adaptive instrumentation: achieved overhead and retained events vs budget",
 		XLabel: "Budget (%)",
 		YLabel: "Percent",
@@ -245,10 +247,5 @@ func planAdapt(opts Options) *figurePlan {
 			})
 		}
 	}
-	return plan
-}
-
-// Adapt reproduces the adaptive-instrumentation sweep (see planAdapt).
-func Adapt(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planAdapt(opts))
+	return plan, nil
 }

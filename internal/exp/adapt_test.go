@@ -2,46 +2,9 @@ package exp
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"math"
 	"testing"
 )
-
-// adaptFigureHash renders the adapt figure at the given parallelism and
-// returns the sha256 of its Render+CSV bytes.
-func adaptFigureHash(t *testing.T, parallelism int) [32]byte {
-	t.Helper()
-	fig, err := NewRunner(Options{Parallelism: parallelism}).Figure("adapt")
-	if err != nil {
-		t.Fatalf("adapt figure (parallelism %d): %v", parallelism, err)
-	}
-	if len(fig.Failures) > 0 {
-		t.Fatalf("adapt figure (parallelism %d) has %d failed cells: %+v",
-			parallelism, len(fig.Failures), fig.Failures[0])
-	}
-	var buf bytes.Buffer
-	if err := fig.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := fig.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return sha256.Sum256(buf.Bytes())
-}
-
-// TestAdaptFigureDeterminism: the adapt sweep's rendered bytes must be
-// identical at host parallelism 1 and 8 — controller decisions, epoch
-// accounting and assembly are all deterministic.
-func TestAdaptFigureDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("adapt figure sweep skipped in -short mode")
-	}
-	seq := adaptFigureHash(t, 1)
-	par := adaptFigureHash(t, 8)
-	if seq != par {
-		t.Fatalf("adapt figure bytes differ between parallelism 1 (%x) and 8 (%x)", seq, par)
-	}
-}
 
 // TestAdaptConvergence: on fully instrumented smg98 with a 5%% budget, the
 // achieved removable overhead must land within ±1 percentage point of the

@@ -5,18 +5,19 @@ import (
 
 	"dynprof/internal/apps"
 	"dynprof/internal/des"
+	"dynprof/internal/fault"
 	"dynprof/internal/guide"
 	"dynprof/internal/machine"
 	"dynprof/internal/vt"
 )
 
-// This file implements the hidden "compact" figure: the trace-volume cost
+// This file implements the "compact" figure: the trace-volume cost
 // of Full instrumentation across the four ASCI kernels, with the collector
 // storing events verbatim versus with online redundancy suppression
 // (vt.NewCompactCollector). The plotted metric is trace bytes per event —
 // the budget the compact format shrinks. Collector host time is measured
-// separately by the microbenchmarks in internal/vt (scripts/bench.sh
-// compact): host timings are nondeterministic and would break the
+// separately by the collector microbenchmarks in internal/vt: host
+// timings are nondeterministic and would break the
 // byte-identical-at-any-parallelism contract every figure obeys.
 
 // compactApps lists the kernels of the compact figure, in presentation
@@ -64,7 +65,7 @@ func (s CompactSpec) Key() string {
 		n.App, n.Procs, n.Compact, n.Machine.Name, n.Seed, argsKey(n.Args), faultKey(n.Machine))
 }
 
-func (s CompactSpec) runCell(bud des.Budget) (any, error) { return runCompactCell(s, bud) }
+func (s CompactSpec) runCell(bud des.Budget) (cellResult, error) { return runCompactCell(s, bud) }
 
 // CompactResult is one measured compact cell. Every field is a pure
 // function of the simulation (no host timings), so the figure stays
@@ -85,6 +86,10 @@ type CompactResult struct {
 	Records int
 	Repeats int
 }
+
+func (r CompactResult) elapsed() des.Time     { return r.Elapsed }
+func (r CompactResult) events() uint64        { return uint64(r.TraceEvents) }
+func (r CompactResult) faults() []fault.Event { return nil }
 
 // BytesPerEvent is the figure's plotted metric.
 func (r CompactResult) BytesPerEvent() float64 {
@@ -143,9 +148,8 @@ func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 // planCompact enumerates the compact figure: bytes per trace event for the
 // verbatim and the suppressing collector, per kernel (x = 1-based kernel
 // index in compactApps order).
-func planCompact(opts Options) *figurePlan {
+func planCompact(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "compact",
 		Title:  "Trace bytes per event at Full instrumentation",
 		XLabel: "Kernel",
 		YLabel: "Bytes/event",
@@ -171,10 +175,5 @@ func planCompact(opts Options) *figurePlan {
 			})
 		}
 	}
-	return plan
-}
-
-// CompactFigure reproduces the compact figure (see planCompact).
-func CompactFigure(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planCompact(opts))
+	return plan, nil
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"strings"
 	"testing"
 
@@ -56,42 +54,6 @@ func TestCompactCell(t *testing.T) {
 	if ratio < 5 {
 		t.Errorf("suppression ratio %.2fx on sweep3d, want >= 5x (%.2f vs %.2f bytes/event)",
 			ratio, verbatim.BytesPerEvent(), compact.BytesPerEvent())
-	}
-}
-
-// compactFigureHash renders the compact figure at the given parallelism
-// and returns the sha256 of its Render+CSV bytes.
-func compactFigureHash(t *testing.T, parallelism int) [32]byte {
-	t.Helper()
-	fig, err := NewRunner(Options{Parallelism: parallelism}).Figure("compact")
-	if err != nil {
-		t.Fatalf("compact figure (parallelism %d): %v", parallelism, err)
-	}
-	if len(fig.Failures) > 0 {
-		t.Fatalf("compact figure (parallelism %d) has %d failed cells: %+v",
-			parallelism, len(fig.Failures), fig.Failures[0])
-	}
-	var buf bytes.Buffer
-	if err := fig.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := fig.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return sha256.Sum256(buf.Bytes())
-}
-
-// TestCompactFigureDeterminism: the compact figure's rendered bytes must
-// be identical at host parallelism 1 and 8 — encoded sizes are a pure
-// function of the simulated event stream, never of host timing.
-func TestCompactFigureDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compact figure sweep skipped in -short mode")
-	}
-	seq := compactFigureHash(t, 1)
-	par := compactFigureHash(t, 8)
-	if seq != par {
-		t.Fatalf("compact figure bytes differ between parallelism 1 (%x) and 8 (%x)", seq, par)
 	}
 }
 

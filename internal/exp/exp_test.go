@@ -30,7 +30,7 @@ func TestPolicyTable3(t *testing.T) {
 }
 
 func TestFig7aShape(t *testing.T) {
-	fig, err := Fig7("smg98", Options{MaxCPUs: 8})
+	fig, err := NewRunner(Options{MaxCPUs: 8}).Figure("fig7a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFig7aShape(t *testing.T) {
 }
 
 func TestFig7bShape(t *testing.T) {
-	fig, err := Fig7("sppm", Options{MaxCPUs: 4})
+	fig, err := NewRunner(Options{MaxCPUs: 4}).Figure("fig7b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFig7bShape(t *testing.T) {
 }
 
 func TestFig7cShape(t *testing.T) {
-	fig, err := Fig7("sweep3d", Options{MaxCPUs: 8})
+	fig, err := NewRunner(Options{MaxCPUs: 8}).Figure("fig7c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFig7cShape(t *testing.T) {
 }
 
 func TestFig7dShape(t *testing.T) {
-	fig, err := Fig7("umt98", Options{})
+	fig, err := NewRunner(Options{}).Figure("fig7d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFig7dShape(t *testing.T) {
 }
 
 func TestFig8aShape(t *testing.T) {
-	fig, err := Fig8a(Options{MaxCPUs: 64})
+	fig, err := NewRunner(Options{MaxCPUs: 64}).Figure("fig8a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestFig8aShape(t *testing.T) {
 }
 
 func TestFig8bOrderOfMagnitudeLarger(t *testing.T) {
-	a, err := Fig8a(Options{MaxCPUs: 32})
+	a, err := NewRunner(Options{MaxCPUs: 32}).Figure("fig8a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig8b(Options{MaxCPUs: 32})
+	b, err := NewRunner(Options{MaxCPUs: 32}).Figure("fig8b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestFig8bOrderOfMagnitudeLarger(t *testing.T) {
 }
 
 func TestFig8cIA32SimilarBehaviour(t *testing.T) {
-	fig, err := Fig8c(Options{})
+	fig, err := NewRunner(Options{}).Figure("fig8c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestFig8cIA32SimilarBehaviour(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	fig, err := Fig9(Options{MaxCPUs: 16})
+	fig, err := NewRunner(Options{MaxCPUs: 16}).Figure("fig9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestRenderers(t *testing.T) {
 		t.Error("table 3 missing Full-Off")
 	}
 
-	fig, err := Fig7("umt98", Options{MaxCPUs: 2})
+	fig, err := NewRunner(Options{MaxCPUs: 2}).Figure("fig7d")
 	if err != nil {
 		t.Fatal(err)
 	}

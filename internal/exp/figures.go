@@ -165,9 +165,6 @@ func cpusFor(app *guide.App) []int {
 	}
 }
 
-// fig7Panels maps each application to its Figure 7 panel letter.
-var fig7Panels = map[string]string{"smg98": "a", "sppm": "b", "sweep3d": "c", "umt98": "d"}
-
 // planFig7 enumerates one panel of Figure 7: the execution time of every
 // instrumentation policy across the processor sweep for the named
 // application.
@@ -177,7 +174,6 @@ func planFig7(appName string, opts Options) (*figurePlan, error) {
 		return nil, err
 	}
 	plan := &figurePlan{fig: &Figure{
-		ID:     "fig7" + fig7Panels[appName],
 		Title:  fmt.Sprintf("Execution time of instrumented versions of %s", app.Name),
 		XLabel: "CPUs",
 		YLabel: "Time (s)",
@@ -197,16 +193,6 @@ func planFig7(appName string, opts Options) (*figurePlan, error) {
 	return plan, nil
 }
 
-// Fig7 reproduces one panel of Figure 7 (see planFig7). It runs through a
-// fresh Runner honouring opts.Parallelism.
-func Fig7(appName string, opts Options) (*Figure, error) {
-	plan, err := planFig7(appName, opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewRunner(opts).runPlan(plan)
-}
-
 // confSyncCPUs is the processor sweep of Figure 8 (a) and (b).
 var confSyncCPUs = []int{2, 4, 8, 16, 32, 64, 128, 256, 512}
 
@@ -218,9 +204,8 @@ func confSyncValue(v any) float64 { return v.(ConfSyncResult).Mean.Seconds() }
 
 // planFig8a enumerates Figure 8(a): VT_confsync cost on the IBM system
 // with and without configuration changes, averaged over 16 calls.
-func planFig8a(opts Options) *figurePlan {
+func planFig8a(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "fig8a",
 		Title:  "Time for VT_confsync on IBM",
 		XLabel: "Number of Processors",
 		YLabel: "Time (s)",
@@ -240,19 +225,13 @@ func planFig8a(opts Options) *figurePlan {
 			})
 		}
 	}
-	return plan
-}
-
-// Fig8a reproduces Figure 8(a) (see planFig8a).
-func Fig8a(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planFig8a(opts))
+	return plan, nil
 }
 
 // planFig8b enumerates Figure 8(b): VT_confsync used to synchronise
 // runtime generation of statistical data on the IBM system.
-func planFig8b(opts Options) *figurePlan {
+func planFig8b(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "fig8b",
 		Title:  "Time to write statistics on IBM",
 		XLabel: "Number of Processors",
 		YLabel: "Time (s)",
@@ -267,21 +246,15 @@ func planFig8b(opts Options) *figurePlan {
 			value:  confSyncValue,
 		})
 	}
-	return plan
-}
-
-// Fig8b reproduces Figure 8(b) (see planFig8b).
-func Fig8b(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planFig8b(opts))
+	return plan, nil
 }
 
 // planFig8c enumerates Figure 8(c): VT_confsync on the Intel IA32 Linux
 // cluster, demonstrating "that the synchronization API has similar
 // behavior between two different processor architectures".
-func planFig8c(opts Options) *figurePlan {
+func planFig8c(opts Options) (*figurePlan, error) {
 	mach := machine.MustNew("ia32-linux")
 	plan := &figurePlan{fig: &Figure{
-		ID:     "fig8c",
 		Title:  "Time for VT_confsync on IA32",
 		XLabel: "Number of Processors",
 		YLabel: "Time (s)",
@@ -296,12 +269,7 @@ func planFig8c(opts Options) *figurePlan {
 			value:  confSyncValue,
 		})
 	}
-	return plan
-}
-
-// Fig8c reproduces Figure 8(c) (see planFig8c).
-func Fig8c(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planFig8c(opts))
+	return plan, nil
 }
 
 // fig9Args shrinks each application's deck: Figure 9 measures dynprof's
@@ -319,7 +287,6 @@ var fig9Args = map[string]map[string]int{
 // stays flat: "there is only a single OpenMP process to instrument".
 func planFig9(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "fig9",
 		Title:  "Time to create and instrument",
 		XLabel: "CPUs",
 		YLabel: "Time (s)",
@@ -343,21 +310,11 @@ func planFig9(opts Options) (*figurePlan, error) {
 	return plan, nil
 }
 
-// Fig9 reproduces Figure 9 (see planFig9).
-func Fig9(opts Options) (*Figure, error) {
-	plan, err := planFig9(opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewRunner(opts).runPlan(plan)
-}
-
 // planHybrid enumerates the Section 5.1 hybrid comparison: Sppm runs with
 // and without dynamically inserted VT_confsync safe points, across a
 // small processor sweep.
-func planHybrid(opts Options) *figurePlan {
+func planHybrid(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "hybrid",
 		Title:  "Hybrid: dynamically inserted VT_confsync points (Sppm)",
 		XLabel: "CPUs",
 		YLabel: "Time (s)",
@@ -377,12 +334,7 @@ func planHybrid(opts Options) *figurePlan {
 			})
 		}
 	}
-	return plan
-}
-
-// Hybrid reproduces the Section 5.1 hybrid comparison (see planHybrid).
-func Hybrid(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planHybrid(opts))
+	return plan, nil
 }
 
 // faultRates is the sweep of the fault-injection figure, in percent.
@@ -409,9 +361,8 @@ func faultPlanAt(pct int) *fault.Plan {
 // planFaults enumerates the fault-injection sweep: the execution time of
 // an instrumented application run and the VT_confsync cost as the fault
 // intensity grows. The x coordinate is the intensity in percent.
-func planFaults(opts Options) *figurePlan {
+func planFaults(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "faults",
 		Title:  "Instrumented run and VT_confsync under injected faults",
 		XLabel: "Fault intensity (%)",
 		YLabel: "Time (s)",
@@ -435,10 +386,5 @@ func planFaults(opts Options) *figurePlan {
 			value:  confSyncValue,
 		})
 	}
-	return plan
-}
-
-// Faults reproduces the fault-injection sweep (see planFaults).
-func Faults(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planFaults(opts))
+	return plan, nil
 }

@@ -58,12 +58,6 @@ const (
 	Dynamic StaticPolicy = "Dynamic"
 )
 
-// Policy is the pre-PolicySpec name of StaticPolicy.
-//
-// Deprecated: kept as an alias for one release; use StaticPolicy (or the
-// PolicySpec interface) instead.
-type Policy = StaticPolicy
-
 // String names the policy as Table 3 does.
 func (p StaticPolicy) String() string { return string(p) }
 
@@ -169,11 +163,6 @@ func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget) (Result,
 	return res, nil
 }
 
-// BuildOptsFor maps a policy to its compile-time configuration.
-//
-// Deprecated: call PolicySpec.BuildOpts directly.
-func BuildOptsFor(app *guide.App, p Policy) guide.BuildOpts { return p.BuildOpts(app) }
-
 // Adaptive is the feedback policy the paper could only gesture at: the
 // target is fully instrumented, a sync point is dynamically inserted at
 // the application's declared safe point, and the internal/adapt controller
@@ -227,8 +216,8 @@ func (a Adaptive) run(spec RunSpec, app *guide.App, bud des.Budget) (Result, err
 type Result struct {
 	App string
 	// Policy is the canonical policy key (PolicySpec.Key), e.g. "Full".
-	Policy string
-	CPUs   int
+	Policy  string
+	CPUs    int
 	Elapsed des.Time
 	// CreateAndInstrument is filled for Dynamic runs (Figure 9).
 	CreateAndInstrument des.Time
@@ -238,6 +227,10 @@ type Result struct {
 	// empty when the machine carries no fault plan.
 	Faults []fault.Event
 }
+
+func (r Result) elapsed() des.Time     { return r.Elapsed }
+func (r Result) events() uint64        { return 0 }
+func (r Result) faults() []fault.Event { return r.Faults }
 
 // runDynamic measures the Dynamic policy: dynprof spawns the target,
 // instruments the application's subset before the main computation (via

@@ -19,10 +19,6 @@ import (
 // after each restart, what fraction of probe trace events the crash
 // windows cost, and how much collateral latency the recovery traffic adds
 // to control operations that themselves succeeded.
-//
-// Like "scale", "tenants", and "adapt", the figure is addressable on
-// demand (cmd/experiments -recover) but deliberately absent from
-// FigureIDs(), so the default sweep and its goldens are unchanged.
 
 // Defaults for RecoverSpec's zero fields.
 const (
@@ -125,7 +121,7 @@ func (s RecoverSpec) Key() string {
 		n.Machine.Name, n.Seed)
 }
 
-func (s RecoverSpec) runCell(bud des.Budget) (any, error) { return runRecoverCell(s, bud) }
+func (s RecoverSpec) runCell(bud des.Budget) (cellResult, error) { return runRecoverCell(s, bud) }
 
 // RecoverResult is one measured recover cell. Every field is
 // deterministic: both runs are single-scheduler simulations, so the result
@@ -169,6 +165,10 @@ type RecoverResult struct {
 	// by Drops and Retries instead of stored).
 	Faults []fault.Event
 }
+
+func (r RecoverResult) elapsed() des.Time     { return r.Elapsed }
+func (r RecoverResult) events() uint64        { return r.Events }
+func (r RecoverResult) faults() []fault.Event { return r.Faults }
 
 // RunRecover executes one recover cell without a budget.
 func RunRecover(spec RecoverSpec) (RecoverResult, error) {
@@ -371,9 +371,8 @@ func runRecoverCell(spec RecoverSpec, bud des.Budget) (RecoverResult, error) {
 // planRecover enumerates the recover figure: recovery metrics across the
 // daemon-MTBF sweep. All series share one cell per x — the Runner dedups
 // them by spec key, so each sweep point simulates exactly once.
-func planRecover(opts Options) *figurePlan {
+func planRecover(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "recover",
 		Title:  "Crash recovery vs daemon MTBF (multi-tenant server)",
 		XLabel: "Daemon MTBF (s)",
 		YLabel: "Reconvergence (s) / ratio",
@@ -401,10 +400,5 @@ func planRecover(opts Options) *figurePlan {
 			})
 		}
 	}
-	return plan
-}
-
-// Recover reproduces the recover figure (see planRecover).
-func Recover(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planRecover(opts))
+	return plan, nil
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"testing"
 
 	"dynprof/internal/des"
@@ -41,42 +39,6 @@ func TestRecoverCell(t *testing.T) {
 	}
 	if res.Evicted > res.Sessions/10 {
 		t.Errorf("evicted=%d of %d sessions, want under 10%%", res.Evicted, res.Sessions)
-	}
-}
-
-// recoverFigureHash renders the recover figure at the given parallelism
-// and returns the sha256 of its Render+CSV bytes.
-func recoverFigureHash(t *testing.T, parallelism int) [32]byte {
-	t.Helper()
-	fig, err := NewRunner(Options{Parallelism: parallelism}).Figure("recover")
-	if err != nil {
-		t.Fatalf("recover figure (parallelism %d): %v", parallelism, err)
-	}
-	if len(fig.Failures) > 0 {
-		t.Fatalf("recover figure (parallelism %d) has %d failed cells: %+v",
-			parallelism, len(fig.Failures), fig.Failures[0])
-	}
-	var buf bytes.Buffer
-	if err := fig.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := fig.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return sha256.Sum256(buf.Bytes())
-}
-
-// TestRecoverFigureDeterminism: the recover sweep's rendered bytes must be
-// identical at host parallelism 1 and 8 — crash schedules, replay
-// accounting, and the fault-free twin comparison are all deterministic.
-func TestRecoverFigureDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("recover figure sweep skipped in -short mode")
-	}
-	seq := recoverFigureHash(t, 1)
-	par := recoverFigureHash(t, 8)
-	if seq != par {
-		t.Fatalf("recover figure bytes differ between parallelism 1 (%x) and 8 (%x)", seq, par)
 	}
 }
 

@@ -21,62 +21,94 @@ type planCell struct {
 	value  func(any) float64 // extracts the plotted value from the result
 }
 
-// figurePlan is a figure skeleton (ID, labels, empty series) plus its
-// cell work-list in presentation order.
+// figurePlan is a figure skeleton (labels, empty series; planFor sets
+// the registered ID) plus its cell work-list in presentation order.
 type figurePlan struct {
 	fig   *Figure
 	cells []planCell
 }
 
-// FigureIDs lists the figure identifiers the Runner can enumerate, in
-// presentation order.
-func FigureIDs() []string {
-	return []string{"fig7a", "fig7b", "fig7c", "fig7d", "fig8a", "fig8b", "fig8c", "fig9", "hybrid", "faults"}
+// FigureSet says which sweeps a registered figure belongs to.
+type FigureSet int
+
+const (
+	// PaperSweep figures are the paper's Figures 7-9: cmd/experiments
+	// -all runs them, and FigureIDs() lists them.
+	PaperSweep FigureSet = iota
+	// Golden figures extend the paper's evaluation (Section 5.1, fault
+	// injection): FigureIDs() and its byte goldens cover them, -all does
+	// not.
+	Golden
+	// OnDemand figures run only when asked for by ID, so adding one
+	// leaves -all and the goldens byte-identical.
+	OnDemand
+)
+
+// FigureDef is one entry of the figure registry.
+type FigureDef struct {
+	ID string
+	// Description is the one-line summary cmd/experiments uses as the
+	// figure's flag usage.
+	Description string
+	Set         FigureSet
+	plan        func(Options) (*figurePlan, error)
 }
 
-// planFor builds the cell work-list of one figure.
-func planFor(id string, opts Options) (*figurePlan, error) {
-	switch id {
-	case "fig7a":
-		return planFig7("smg98", opts)
-	case "fig7b":
-		return planFig7("sppm", opts)
-	case "fig7c":
-		return planFig7("sweep3d", opts)
-	case "fig7d":
-		return planFig7("umt98", opts)
-	case "fig8a":
-		return planFig8a(opts), nil
-	case "fig8b":
-		return planFig8b(opts), nil
-	case "fig8c":
-		return planFig8c(opts), nil
-	case "fig9":
-		return planFig9(opts)
-	case "hybrid":
-		return planHybrid(opts), nil
-	case "faults":
-		return planFaults(opts), nil
-	case "scale":
-		// Addressable on demand but deliberately absent from FigureIDs():
-		// the default sweep and its goldens are unchanged by the scale
-		// figure's existence.
-		return planScale(opts), nil
-	case "tenants":
-		// Also on demand only, for the same reason as "scale".
-		return planTenants(opts), nil
-	case "adapt":
-		// Also on demand only, for the same reason as "scale".
-		return planAdapt(opts), nil
-	case "recover":
-		// Also on demand only, for the same reason as "scale".
-		return planRecover(opts), nil
-	case "compact":
-		// Also on demand only, for the same reason as "scale".
-		return planCompact(opts), nil
-	default:
-		return nil, fmt.Errorf("exp: unknown figure %q (have %v)", id, FigureIDs())
+// figureRegistry lists every figure the Runner can build, in
+// presentation order. A new figure is one row here plus its own file
+// (spec, cell, result and plan).
+var figureRegistry = []FigureDef{
+	{"fig7a", "Figure 7(a): Smg98 execution times", PaperSweep, func(o Options) (*figurePlan, error) { return planFig7("smg98", o) }},
+	{"fig7b", "Figure 7(b): Sppm execution times", PaperSweep, func(o Options) (*figurePlan, error) { return planFig7("sppm", o) }},
+	{"fig7c", "Figure 7(c): Sweep3d execution times", PaperSweep, func(o Options) (*figurePlan, error) { return planFig7("sweep3d", o) }},
+	{"fig7d", "Figure 7(d): Umt98 execution times", PaperSweep, func(o Options) (*figurePlan, error) { return planFig7("umt98", o) }},
+	{"fig8a", "Figure 8(a): VT_confsync on IBM", PaperSweep, planFig8a},
+	{"fig8b", "Figure 8(b): statistics write on IBM", PaperSweep, planFig8b},
+	{"fig8c", "Figure 8(c): VT_confsync on IA32", PaperSweep, planFig8c},
+	{"fig9", "Figure 9: time to create and instrument", PaperSweep, planFig9},
+	{"hybrid", "Section 5.1 hybrid: dynamically inserted confsync points", Golden, planHybrid},
+	{"faults", "fault-injection sweep: run and confsync cost vs fault intensity", Golden, planFaults},
+	{"scale", "scale sweep: instrumented kernels at 1k/4k/16k ranks on the sharded DES", OnDemand, planScale},
+	{"tenants", "tenants sweep: control-op latency percentiles at 100/1k/10k concurrent sessions", OnDemand, planTenants},
+	{"adapt", "adapt sweep: achieved overhead and retained events vs perturbation budget on all four kernels", OnDemand, planAdapt},
+	{"recover", "recover sweep: reconvergence latency, lost-event fraction, and co-tenant impact vs daemon MTBF", OnDemand, planRecover},
+	{"compact", "compact sweep: trace bytes per event at Full instrumentation, verbatim vs redundancy-suppressed", OnDemand, planCompact},
+}
+
+// Registry returns every registered figure in presentation order.
+func Registry() []FigureDef {
+	return append([]FigureDef(nil), figureRegistry...)
+}
+
+// FigureIDs lists the paper-sweep and golden figures in presentation
+// order: the set the byte goldens cover.
+func FigureIDs() []string {
+	var ids []string
+	for _, d := range figureRegistry {
+		if d.Set != OnDemand {
+			ids = append(ids, d.ID)
+		}
 	}
+	return ids
+}
+
+// planFor builds the cell work-list of one registered figure.
+func planFor(id string, opts Options) (*figurePlan, error) {
+	for _, d := range figureRegistry {
+		if d.ID == id {
+			p, err := d.plan(opts)
+			if err != nil {
+				return nil, err
+			}
+			p.fig.ID = id
+			return p, nil
+		}
+	}
+	ids := make([]string, len(figureRegistry))
+	for i, d := range figureRegistry {
+		ids[i] = d.ID
+	}
+	return nil, fmt.Errorf("exp: unknown figure %q (have %v)", id, ids)
 }
 
 // Metrics is a snapshot of a Runner's cumulative counters.
@@ -162,12 +194,20 @@ type CellEvent struct {
 
 // cacheEntry is one memoized cell execution.
 type cacheEntry struct {
-	val      any
+	val      cellResult // nil when the attempt panicked or timed out
 	err      error
 	wall     time.Duration
-	virt     des.Time
 	attempts int
 	stored   bool // served from the persistent store
+}
+
+// virt is the simulated time the entry's run covered (a failed run may
+// still report the partial time it reached).
+func (e *cacheEntry) virt() des.Time {
+	if e.val == nil {
+		return 0
+	}
+	return e.val.elapsed()
 }
 
 // Runner schedules experiment cells: it enumerates the work-list of any
@@ -234,15 +274,6 @@ func (r *Runner) Figures(ids ...string) ([]*Figure, error) {
 	return r.runPlans(plans)
 }
 
-// runPlan executes a single pre-built plan.
-func (r *Runner) runPlan(plan *figurePlan) (*Figure, error) {
-	figs, err := r.runPlans([]*figurePlan{plan})
-	if err != nil {
-		return nil, err
-	}
-	return figs[0], nil
-}
-
 // runPlans is the scheduling core: dedup the combined work-list against
 // the memo cache, drain it through the worker pool, then assemble every
 // figure (and emit cell events) in deterministic order.
@@ -267,7 +298,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 			}
 			if r.opts.Store != nil {
 				if v, ok := r.opts.Store.Get(k); ok {
-					r.cache[k] = &cacheEntry{val: v, virt: virtualOf(v), stored: true}
+					r.cache[k] = &cacheEntry{val: v.(cellResult), stored: true}
 					storeHits++
 					continue
 				}
@@ -303,7 +334,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 				for spec := range jobCh {
 					t0 := time.Now()
 					val, err, attempts := superviseCell(spec, r.opts)
-					e := &cacheEntry{val: val, err: err, wall: time.Since(t0), virt: virtualOf(val), attempts: attempts}
+					e := &cacheEntry{val: val, err: err, wall: time.Since(t0), attempts: attempts}
 					var putErr error
 					if err == nil && r.opts.Store != nil {
 						putErr = r.opts.Store.Put(spec.Key(), val)
@@ -312,7 +343,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 					r.cache[spec.Key()] = e
 					r.met.Runs++
 					r.met.Busy += e.wall
-					r.met.Virtual += e.virt
+					r.met.Virtual += e.virt()
 					r.met.Retries += attempts - 1
 					if err != nil {
 						r.met.Failures++
@@ -366,7 +397,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 				Key:      k,
 				CacheHit: !fresh,
 				StoreHit: e.stored,
-				SimS:     e.virt.Seconds(),
+				SimS:     e.virt().Seconds(),
 			}
 			if fresh {
 				ev.WallMS = float64(e.wall) / float64(time.Millisecond)
@@ -388,8 +419,8 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 				ev.Error = e.err.Error()
 			} else {
 				ev.Value = c.value(e.val)
-				ev.Faults = faultsOf(e.val)
-				ev.Events = eventsOf(e.val)
+				ev.Faults = e.val.faults()
+				ev.Events = e.val.events()
 				p.fig.Series[c.series].Points = append(p.fig.Series[c.series].Points, Point{CPUs: c.cpus, Value: ev.Value})
 			}
 			if r.opts.OnCell != nil {
@@ -409,63 +440,6 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 	return figs, nil
 }
 
-// virtualOf extracts the simulated time a cell result covered.
-func virtualOf(val any) des.Time {
-	switch v := val.(type) {
-	case Result:
-		return v.Elapsed
-	case ConfSyncResult:
-		return v.Mean
-	case HybridResult:
-		return v.Elapsed
-	case ScaleResult:
-		return v.Elapsed
-	case TenantsResult:
-		return v.Elapsed
-	case AdaptResult:
-		return v.Elapsed
-	case RecoverResult:
-		return v.Elapsed
-	case CompactResult:
-		return v.Elapsed
-	}
-	return 0
-}
-
-// eventsOf extracts a cell result's DES event count, when reported.
-func eventsOf(val any) uint64 {
-	switch v := val.(type) {
-	case ScaleResult:
-		return v.Events
-	case TenantsResult:
-		return v.Events
-	case AdaptResult:
-		return v.Events
-	case RecoverResult:
-		return v.Events
-	case CompactResult:
-		return uint64(v.TraceEvents)
-	}
-	return 0
-}
-
-// faultsOf extracts a cell result's fault-event stream.
-func faultsOf(val any) []fault.Event {
-	switch v := val.(type) {
-	case Result:
-		return v.Faults
-	case ConfSyncResult:
-		return v.Faults
-	case HybridResult:
-		return v.Faults
-	case AdaptResult:
-		return v.Faults
-	case RecoverResult:
-		return v.Faults
-	}
-	return nil
-}
-
 // Run executes spec through the Runner's memo cache: a spec whose key has
 // already run (in any prior Run or Figures call) returns the cached
 // result without re-simulating.
@@ -477,28 +451,10 @@ func (r *Runner) Run(spec RunSpec) (Result, error) {
 	return v.(Result), nil
 }
 
-// RunConfSync is the memoized form of the package-level RunConfSync.
-func (r *Runner) RunConfSync(spec ConfSyncSpec) (ConfSyncResult, error) {
-	v, err := r.runMemo(spec)
-	if err != nil {
-		return ConfSyncResult{}, err
-	}
-	return v.(ConfSyncResult), nil
-}
-
-// RunHybrid is the memoized form of the package-level RunHybrid.
-func (r *Runner) RunHybrid(spec HybridSpec) (HybridResult, error) {
-	v, err := r.runMemo(spec)
-	if err != nil {
-		return HybridResult{}, err
-	}
-	return v.(HybridResult), nil
-}
-
 // runMemo serves one spec through the cache (then the persistent store),
 // executing it under supervision on a miss. Unlike figure assembly, the
 // single-spec path returns the failure as an error.
-func (r *Runner) runMemo(spec cellSpec) (any, error) {
+func (r *Runner) runMemo(spec cellSpec) (cellResult, error) {
 	k := spec.Key()
 	r.mu.Lock()
 	r.met.Cells++
@@ -511,10 +467,11 @@ func (r *Runner) runMemo(spec cellSpec) (any, error) {
 	if r.opts.Store != nil {
 		if v, ok := r.opts.Store.Get(k); ok {
 			r.mu.Lock()
-			r.cache[k] = &cacheEntry{val: v, virt: virtualOf(v), stored: true}
+			e := &cacheEntry{val: v.(cellResult), stored: true}
+			r.cache[k] = e
 			r.met.StoreHits++
 			r.mu.Unlock()
-			return v, nil
+			return e.val, nil
 		}
 	}
 	t0 := time.Now()
@@ -524,13 +481,13 @@ func (r *Runner) runMemo(spec cellSpec) (any, error) {
 			return val, putErr
 		}
 	}
-	e := &cacheEntry{val: val, err: err, wall: time.Since(t0), virt: virtualOf(val), attempts: attempts}
+	e := &cacheEntry{val: val, err: err, wall: time.Since(t0), attempts: attempts}
 	r.mu.Lock()
 	r.cache[k] = e
 	r.met.Runs++
 	r.met.Busy += e.wall
 	r.met.Wall += e.wall
-	r.met.Virtual += e.virt
+	r.met.Virtual += e.virt()
 	r.met.Retries += attempts - 1
 	if err != nil {
 		r.met.Failures++

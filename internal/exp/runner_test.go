@@ -239,6 +239,75 @@ func TestRunnerUnknownFigure(t *testing.T) {
 	}
 }
 
+// TestOnDemandFigureParallelism: every on-demand figure renders the same
+// text and CSV bytes at Parallelism 1 and 8, with no failed cell and the
+// expected shape. Each row keeps the trimmed Options its figure has
+// always been checked at.
+func TestOnDemandFigureParallelism(t *testing.T) {
+	cases := []struct {
+		id     string
+		opts   Options
+		long   bool // skipped in -short mode
+		series int
+		points int // per series
+	}{
+		{"scale", Options{MaxCPUs: 1024, Shards: 4}, false, 2, 1},
+		{"tenants", Options{MaxCPUs: 100}, false, 3, 1},
+		{"adapt", Options{}, true, 8, 5},
+		{"recover", Options{}, true, 4, 4},
+		{"compact", Options{}, true, 2, 4},
+	}
+	var covered, onDemand []string
+	for _, c := range cases {
+		covered = append(covered, c.id)
+	}
+	for _, d := range Registry() {
+		if d.Set == OnDemand {
+			onDemand = append(onDemand, d.ID)
+		}
+	}
+	if !reflect.DeepEqual(covered, onDemand) {
+		t.Fatalf("table covers %v, registry's on-demand figures are %v", covered, onDemand)
+	}
+	for _, c := range cases {
+		t.Run(c.id, func(t *testing.T) {
+			if c.long && testing.Short() {
+				t.Skipf("%s figure sweep skipped in -short mode", c.id)
+			}
+			render := func(parallelism int) string {
+				opts := c.opts
+				opts.Parallelism = parallelism
+				fig, err := NewRunner(opts).Figure(c.id)
+				if err != nil {
+					t.Fatalf("parallelism %d: %v", parallelism, err)
+				}
+				if len(fig.Failures) > 0 {
+					t.Fatalf("parallelism %d: %d failed cells: %+v", parallelism, len(fig.Failures), fig.Failures[0])
+				}
+				if len(fig.Series) != c.series {
+					t.Fatalf("series = %d, want %d", len(fig.Series), c.series)
+				}
+				for _, s := range fig.Series {
+					if len(s.Points) != c.points {
+						t.Fatalf("series %s has %d points, want %d", s.Label, len(s.Points), c.points)
+					}
+				}
+				var b bytes.Buffer
+				if err := fig.Render(&b); err != nil {
+					t.Fatal(err)
+				}
+				if err := fig.CSV(&b); err != nil {
+					t.Fatal(err)
+				}
+				return b.String()
+			}
+			if seq, par := render(1), render(8); seq != par {
+				t.Errorf("parallelism changed the %s figure bytes:\n%s\nvs\n%s", c.id, seq, par)
+			}
+		})
+	}
+}
+
 // TestUtilizationZeroGuard: Utilization never divides by zero — a Runner
 // that has not executed a pool (zero Workers, e.g. everything served from
 // cache or store) or has spent no wall time reports 0, and the ratio is
@@ -265,7 +334,7 @@ func TestUtilizationZeroGuard(t *testing.T) {
 // TestHybridFigureShape: the hybrid figure carries both variants and the
 // confsync-points runs stay close to plain (the Section 5.1 claim).
 func TestHybridFigureShape(t *testing.T) {
-	fig, err := Hybrid(Options{MaxCPUs: 4})
+	fig, err := NewRunner(Options{MaxCPUs: 4}).Figure("hybrid")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 
 	"dynprof/internal/des"
+	"dynprof/internal/fault"
 	"dynprof/internal/machine"
 	"dynprof/internal/vt"
 )
@@ -126,7 +127,7 @@ func (s ScaleSpec) Key() string {
 		n.App, n.Ranks, n.Shards, n.Iters, n.Machine.Name, n.Seed, faultKey(n.Machine))
 }
 
-func (s ScaleSpec) runCell(bud des.Budget) (any, error) { return runScaleCell(s, bud) }
+func (s ScaleSpec) runCell(bud des.Budget) (cellResult, error) { return runScaleCell(s, bud) }
 
 // ScaleResult is one measured scale cell. Every field is deterministic
 // for a fixed (seed, shard count); Elapsed, TraceEvents and TraceBytes
@@ -146,6 +147,10 @@ type ScaleResult struct {
 	// without a spill directory).
 	SpilledEvents int
 }
+
+func (r ScaleResult) elapsed() des.Time     { return r.Elapsed }
+func (r ScaleResult) events() uint64        { return r.Events }
+func (r ScaleResult) faults() []fault.Event { return nil }
 
 // RunScale executes one scale cell without a budget.
 func RunScale(spec ScaleSpec) (ScaleResult, error) { return runScaleCell(spec, des.Budget{}) }
@@ -392,7 +397,7 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 		})
 	}
 
-	if err := runClusterScheduler(cluster); err != nil {
+	if err := runScheduler(cluster); err != nil {
 		return res, err
 	}
 	for _, t := range finishes {
@@ -412,26 +417,10 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 	return res, nil
 }
 
-// runClusterScheduler is runScheduler for sharded cells: it drives the
-// cluster and converts a re-raised Proc panic into an error return.
-func runClusterScheduler(c *des.Cluster) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pp, ok := r.(*des.ProcPanicError)
-			if !ok {
-				panic(r)
-			}
-			err = pp
-		}
-	}()
-	return c.Run()
-}
-
 // planScale enumerates the scale figure: the virtual completion time of
 // each skeleton across the rank sweep on the sharded DES.
-func planScale(opts Options) *figurePlan {
+func planScale(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "scale",
 		Title:  "Instrumented kernels at scale (sharded DES)",
 		XLabel: "Ranks",
 		YLabel: "Time (s)",
@@ -452,10 +441,5 @@ func planScale(opts Options) *figurePlan {
 			})
 		}
 	}
-	return plan
-}
-
-// Scale reproduces the scale figure (see planScale).
-func Scale(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planScale(opts))
+	return plan, nil
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"os"
 	"reflect"
 	"testing"
@@ -59,36 +58,6 @@ func TestScaleDeterministicAcrossHostParallelism(t *testing.T) {
 	}
 }
 
-// TestScaleFigureParallelismBytes renders the scale figure through the
-// Runner at -parallel 1 and 8 and demands byte-identical output — the
-// sharded cells obey the same determinism contract as every other figure.
-func TestScaleFigureParallelismBytes(t *testing.T) {
-	render := func(parallelism int) []byte {
-		t.Helper()
-		r := NewRunner(Options{MaxCPUs: 1024, Parallelism: parallelism, Shards: 4})
-		figs, err := r.Figures("scale")
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		var buf bytes.Buffer
-		if err := figs[0].Render(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := figs[0].CSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	seq := render(1)
-	par := render(8)
-	if !bytes.Equal(seq, par) {
-		t.Errorf("runner parallelism changed the scale figure bytes:\n%s\nvs\n%s", seq, par)
-	}
-	if len(seq) == 0 {
-		t.Fatal("empty rendered figure")
-	}
-}
-
 // TestScaleSpill runs a cell with a spill directory tight enough to force
 // spilling and demands (a) the simulated result is untouched, (b) events
 // actually went to disk, and (c) the spill files are cleaned up with the
@@ -122,8 +91,8 @@ func TestScaleSpill(t *testing.T) {
 	}
 }
 
-// TestScaleStoreRoundTrip persists a scale result and reloads it through
-// the journal, covering the new storeRecord arm.
+// TestScaleStoreRoundTrip persists a real scale cell's result and reloads
+// it through the journal.
 func TestScaleStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)

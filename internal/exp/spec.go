@@ -47,7 +47,20 @@ type cellSpec interface {
 	// returns its typed result. The budget is harness configuration, not
 	// spec identity: it never feeds the key, because a budget that is not
 	// hit leaves the run byte-identical.
-	runCell(bud des.Budget) (any, error)
+	runCell(bud des.Budget) (cellResult, error)
+}
+
+// cellResult is the contract every cell result type meets: the Runner
+// reads a cell's simulated time, event count and fault stream through it
+// (Metrics.Virtual, CellEvent.SimS/Events/Faults), and the Store journals
+// it under its spec key's kind prefix (see resultKinds).
+type cellResult interface {
+	// elapsed is the simulated time the cell's run covered.
+	elapsed() des.Time
+	// events is the run's event count, or 0 when the kind reports none.
+	events() uint64
+	// faults is the run's fault-event stream, or nil when the kind keeps none.
+	faults() []fault.Event
 }
 
 // RunSpec is a first-class descriptor of one experiment cell: a single
@@ -114,7 +127,7 @@ func (s RunSpec) Key() string {
 		name, s.policy().Key(), s.CPUs, s.machine().Name, argsKey(s.Args), s.Seed, faultKey(s.machine()))
 }
 
-func (s RunSpec) runCell(bud des.Budget) (any, error) { return runSpecCell(s, bud) }
+func (s RunSpec) runCell(bud des.Budget) (cellResult, error) { return runSpecCell(s, bud) }
 
 // argsKey renders an input deck in sorted-key order.
 func argsKey(args map[string]int) string {
@@ -198,7 +211,7 @@ func (s ConfSyncSpec) Key() string {
 		n.CPUs, n.Reps, n.NFuncs, n.Changes, n.WriteStats, n.Machine.Name, n.Seed, faultKey(n.Machine))
 }
 
-func (s ConfSyncSpec) runCell(bud des.Budget) (any, error) { return runConfSyncCell(s, bud) }
+func (s ConfSyncSpec) runCell(bud des.Budget) (cellResult, error) { return runConfSyncCell(s, bud) }
 
 // ConfSyncResult is one measured ConfSync probe.
 type ConfSyncResult struct {
@@ -208,6 +221,10 @@ type ConfSyncResult struct {
 	// Faults is the probe run's fault-event stream (empty without a plan).
 	Faults []fault.Event
 }
+
+func (r ConfSyncResult) elapsed() des.Time     { return r.Mean }
+func (r ConfSyncResult) events() uint64        { return 0 }
+func (r ConfSyncResult) faults() []fault.Event { return r.Faults }
 
 // RunConfSync executes one VT_confsync probe cell.
 func RunConfSync(spec ConfSyncSpec) (ConfSyncResult, error) {
@@ -313,7 +330,7 @@ func (s HybridSpec) Key() string {
 		n.WithPoints, n.CPUs, n.Machine.Name, argsKey(n.Args), n.Seed, faultKey(n.Machine))
 }
 
-func (s HybridSpec) runCell(bud des.Budget) (any, error) { return runHybridCell(s, bud) }
+func (s HybridSpec) runCell(bud des.Budget) (cellResult, error) { return runHybridCell(s, bud) }
 
 // HybridResult is one measured hybrid run.
 type HybridResult struct {
@@ -325,6 +342,10 @@ type HybridResult struct {
 	// Faults is the run's fault-event stream (empty without a plan).
 	Faults []fault.Event
 }
+
+func (r HybridResult) elapsed() des.Time     { return r.Elapsed }
+func (r HybridResult) events() uint64        { return 0 }
+func (r HybridResult) faults() []fault.Event { return r.Faults }
 
 // RunHybrid executes one hybrid cell: dynprof spawns Sppm, optionally
 // plants the confsync safe point, starts the target and detaches.

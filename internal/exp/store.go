@@ -7,48 +7,73 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 )
 
 // StoreJournalName is the journal file a Store keeps under its directory.
 const StoreJournalName = "results.jsonl"
 
-// storeRecord is one journal line: the cell's canonical spec key plus its
-// typed result (exactly one of the result fields is set). The format is
-// append-only JSONL so a crash can at worst tear the final record.
-type storeRecord struct {
-	Key      string          `json:"key"`
-	Run      *Result         `json:"run,omitempty"`
-	ConfSync *ConfSyncResult `json:"confsync,omitempty"`
-	Hybrid   *HybridResult   `json:"hybrid,omitempty"`
-	Scale    *ScaleResult    `json:"scale,omitempty"`
-	Tenants  *TenantsResult  `json:"tenants,omitempty"`
-	Adapt    *AdaptResult    `json:"adapt,omitempty"`
-	Recover  *RecoverResult  `json:"recover,omitempty"`
-	Compact  *CompactResult  `json:"compact,omitempty"`
+// resultKinds maps each spec key's kind prefix (the text before its
+// first '|') to the zero value of the result type its cells return. A
+// journal line is {"key":K,"<kind>":{...}}: the kind names the field that
+// holds the result, so the key alone says how to decode the line.
+var resultKinds = map[string]cellResult{
+	"run":      Result{},
+	"confsync": ConfSyncResult{},
+	"hybrid":   HybridResult{},
+	"scale":    ScaleResult{},
+	"tenants":  TenantsResult{},
+	"adapt":    AdaptResult{},
+	"recover":  RecoverResult{},
+	"compact":  CompactResult{},
 }
 
-// value returns the record's typed result.
-func (rec *storeRecord) value() (any, error) {
-	switch {
-	case rec.Run != nil:
-		return *rec.Run, nil
-	case rec.ConfSync != nil:
-		return *rec.ConfSync, nil
-	case rec.Hybrid != nil:
-		return *rec.Hybrid, nil
-	case rec.Scale != nil:
-		return *rec.Scale, nil
-	case rec.Tenants != nil:
-		return *rec.Tenants, nil
-	case rec.Adapt != nil:
-		return *rec.Adapt, nil
-	case rec.Recover != nil:
-		return *rec.Recover, nil
-	case rec.Compact != nil:
-		return *rec.Compact, nil
+// keyKind returns the kind prefix of a canonical spec key.
+func keyKind(key string) string {
+	kind, _, _ := strings.Cut(key, "|")
+	return kind
+}
+
+// encodeRecord renders one newline-terminated journal line. It refuses a
+// value whose type is not the one the key's kind stores.
+func encodeRecord(key string, val any) ([]byte, error) {
+	kind := keyKind(key)
+	proto, ok := resultKinds[kind]
+	if !ok || reflect.TypeOf(val) != reflect.TypeOf(proto) {
+		return nil, fmt.Errorf("exp: store: unstorable cell result %T for %q", val, key)
 	}
-	return nil, fmt.Errorf("exp: store record %q carries no result", rec.Key)
+	k, _ := json.Marshal(key) // a string always marshals
+	v, err := json.Marshal(val)
+	if err != nil {
+		return nil, fmt.Errorf("exp: store: %w", err)
+	}
+	return []byte(fmt.Sprintf(`{"key":%s,%q:%s}`+"\n", k, kind, v)), nil
+}
+
+// decodeRecord parses one journal line back into its key and result.
+func decodeRecord(line []byte) (string, cellResult, error) {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(line, &fields); err != nil {
+		return "", nil, err
+	}
+	var key string
+	if err := json.Unmarshal(fields["key"], &key); err != nil {
+		return "", nil, fmt.Errorf("record key: %w", err)
+	}
+	kind := keyKind(key)
+	proto, ok := resultKinds[kind]
+	raw, has := fields[kind]
+	if !ok || !has {
+		return "", nil, fmt.Errorf("record %q carries no %q result", key, kind)
+	}
+	ptr := reflect.New(reflect.TypeOf(proto))
+	if err := json.Unmarshal(raw, ptr.Interface()); err != nil {
+		return "", nil, fmt.Errorf("record %q: %w", key, err)
+	}
+	return key, ptr.Elem().Interface().(cellResult), nil
 }
 
 // Store is a persistent result store for experiment cells: an append-only
@@ -58,24 +83,26 @@ func (rec *storeRecord) value() (any, error) {
 //
 // Crash safety: records are fsynced as they are appended, and reload
 // tolerates a torn final record (the signature of a crash mid-append) by
-// ignoring it. Corruption anywhere else is reported as an error. When the
+// ignoring it and cutting it off the file. Corruption anywhere else is
+// reported as an error. When the
 // same key appears more than once, the last intact record wins.
 //
 // A Store is safe for concurrent use.
 type Store struct {
 	mu  sync.Mutex
 	f   *os.File
-	idx map[string]any
+	idx map[string]cellResult
 }
 
 // OpenStore opens (creating as needed) the journal under dir and loads
-// every intact record into the lookup index.
+// every intact record into the lookup index. A torn final record is cut
+// off the file, so the next append starts on a fresh line.
 func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("exp: store: %w", err)
 	}
 	path := filepath.Join(dir, StoreJournalName)
-	idx, err := loadJournal(path)
+	idx, intact, err := loadJournal(path)
 	if err != nil {
 		return nil, err
 	}
@@ -83,42 +110,39 @@ func OpenStore(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: store: %w", err)
 	}
+	if err := f.Truncate(intact); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("exp: store: %w", err)
+	}
 	return &Store{f: f, idx: idx}, nil
 }
 
-// loadJournal reads a journal into a key index, tolerating a torn final
-// record and nothing else.
-func loadJournal(path string) (map[string]any, error) {
-	idx := make(map[string]any)
+// loadJournal reads a journal into a key index and reports the length of
+// its intact prefix. Every record Put writes ends in a newline, so bytes
+// after the last newline are a record torn by a crash mid-append; they
+// are ignored. Corruption in a newline-terminated line is an error.
+func loadJournal(path string) (map[string]cellResult, int64, error) {
+	idx := make(map[string]cellResult)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return idx, nil
+		return idx, 0, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("exp: store: %w", err)
+		return nil, 0, fmt.Errorf("exp: store: %w", err)
 	}
-	lines := bytes.Split(data, []byte("\n"))
-	for i, line := range lines {
+	intact := bytes.LastIndexByte(data, '\n') + 1
+	for i, line := range bytes.Split(data[:intact], []byte("\n")) {
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
-		var rec storeRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if i == len(lines)-1 {
-				// A torn final record is the expected residue of a crash
-				// mid-append; everything before it is intact.
-				break
-			}
-			return nil, fmt.Errorf("exp: store: journal %s corrupt at line %d: %w", path, i+1, err)
-		}
-		v, err := rec.value()
+		key, val, err := decodeRecord(line)
 		if err != nil {
-			return nil, err
+			return nil, 0, fmt.Errorf("exp: store: journal %s corrupt at line %d: %w", path, i+1, err)
 		}
-		idx[rec.Key] = v
+		idx[key] = val
 	}
-	return idx, nil
+	return idx, int64(intact), nil
 }
 
 // Len reports the number of distinct keys in the index.
@@ -137,35 +161,14 @@ func (st *Store) Get(key string) (any, bool) {
 }
 
 // Put appends one successful cell result to the journal (fsynced) and
-// indexes it. Only the typed cell results are storable; failures are
-// never persisted — a resumed sweep re-attempts them.
+// indexes it. The value must be the result type of the key's kind (see
+// resultKinds); failures are never persisted — a resumed sweep
+// re-attempts them.
 func (st *Store) Put(key string, val any) error {
-	rec := storeRecord{Key: key}
-	switch v := val.(type) {
-	case Result:
-		rec.Run = &v
-	case ConfSyncResult:
-		rec.ConfSync = &v
-	case HybridResult:
-		rec.Hybrid = &v
-	case ScaleResult:
-		rec.Scale = &v
-	case TenantsResult:
-		rec.Tenants = &v
-	case AdaptResult:
-		rec.Adapt = &v
-	case RecoverResult:
-		rec.Recover = &v
-	case CompactResult:
-		rec.Compact = &v
-	default:
-		return fmt.Errorf("exp: store: unstorable cell result %T for %q", val, key)
-	}
-	line, err := json.Marshal(rec)
+	line, err := encodeRecord(key, val)
 	if err != nil {
-		return fmt.Errorf("exp: store: %w", err)
+		return err
 	}
-	line = append(line, '\n')
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, err := st.f.Write(line); err != nil {
@@ -174,7 +177,7 @@ func (st *Store) Put(key string, val any) error {
 	if err := st.f.Sync(); err != nil {
 		return fmt.Errorf("exp: store: %w", err)
 	}
-	st.idx[key] = val
+	st.idx[key] = val.(cellResult)
 	return nil
 }
 
@@ -185,9 +188,10 @@ func (st *Store) Close() error {
 	return st.f.Close()
 }
 
-// Compact rewrites the journal to one record per live key (last wins),
-// dropping superseded duplicates, then atomically replaces the old
-// journal. Useful after many resumed sweeps over one cache directory.
+// Compact rewrites the journal to one record per live key (last wins), in
+// key order, dropping superseded duplicates, then atomically replaces the
+// old journal. Useful after many resumed sweeps over one cache directory;
+// two compactions of the same index write the same bytes.
 func (st *Store) Compact() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -197,32 +201,19 @@ func (st *Store) Compact() error {
 		return fmt.Errorf("exp: store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
+	keys := make([]string, 0, len(st.idx))
+	for key := range st.idx {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
 	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
-	for key, val := range st.idx {
-		rec := storeRecord{Key: key}
-		switch v := val.(type) {
-		case Result:
-			rec.Run = &v
-		case ConfSyncResult:
-			rec.ConfSync = &v
-		case HybridResult:
-			rec.Hybrid = &v
-		case ScaleResult:
-			rec.Scale = &v
-		case TenantsResult:
-			rec.Tenants = &v
-		case AdaptResult:
-			rec.Adapt = &v
-		case RecoverResult:
-			rec.Recover = &v
-		case CompactResult:
-			rec.Compact = &v
-		}
-		if err := enc.Encode(rec); err != nil {
+	for _, key := range keys {
+		line, err := encodeRecord(key, st.idx[key])
+		if err != nil {
 			tmp.Close()
-			return fmt.Errorf("exp: store: %w", err)
+			return err
 		}
+		_, _ = w.Write(line) // a write error sticks and surfaces from Flush
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()

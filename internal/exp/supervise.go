@@ -149,10 +149,11 @@ func (o Options) retryBackoff(attempt int) time.Duration {
 	return d
 }
 
-// runScheduler drives one cell's scheduler, converting the typed
+// runScheduler drives one cell's scheduler (a des.Scheduler, or a
+// des.Cluster for sharded cells), converting the typed
 // *des.ProcPanicError a Proc panic is re-raised as into an ordinary error
 // return; any other panic keeps unwinding (superviseCell catches it).
-func runScheduler(s *des.Scheduler) (err error) {
+func runScheduler(s interface{ Run() error }) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			pp, ok := r.(*des.ProcPanicError)
@@ -167,14 +168,14 @@ func runScheduler(s *des.Scheduler) (err error) {
 
 // attemptOutcome carries one attempt's result out of its goroutine.
 type attemptOutcome struct {
-	val any
+	val cellResult
 	err error
 }
 
 // runAttempt executes one supervised attempt of a cell: the execution runs
 // on its own goroutine behind a recover barrier, and a wall-clock watchdog
 // (when Options.CellTimeout is set) abandons attempts that wedge the host.
-func runAttempt(spec cellSpec, opts Options) (any, error) {
+func runAttempt(spec cellSpec, opts Options) (cellResult, error) {
 	ch := make(chan attemptOutcome, 1)
 	go func() {
 		defer func() {
@@ -202,7 +203,7 @@ func runAttempt(spec cellSpec, opts Options) (any, error) {
 // superviseCell executes one cell under the supervision policy: bounded
 // retry with exponential backoff for retryable failures, fail-fast for
 // deterministic ones. attempts reports how many executions were made.
-func superviseCell(spec cellSpec, opts Options) (val any, err error, attempts int) {
+func superviseCell(spec cellSpec, opts Options) (val cellResult, err error, attempts int) {
 	limit := opts.maxAttempts()
 	for attempts = 1; ; attempts++ {
 		val, err = runAttempt(spec, opts)

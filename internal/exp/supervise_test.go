@@ -115,6 +115,16 @@ func supervisedPlan(apps ...*guide.App) *figurePlan {
 	return &figurePlan{fig: fig, cells: cells}
 }
 
+// runPlan executes a single hand-built plan through the Runner's
+// scheduling core.
+func (r *Runner) runPlan(plan *figurePlan) (*Figure, error) {
+	figs, err := r.runPlans([]*figurePlan{plan})
+	if err != nil {
+		return nil, err
+	}
+	return figs[0], nil
+}
+
 // TestSupervisedLivelockRetryDeterminism: a cell that livelocks at attempt
 // 1 and succeeds on retry yields byte-identical figure output at
 // parallelism 1 and 8, with no failure recorded.

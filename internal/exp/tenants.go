@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"dynprof/internal/des"
+	"dynprof/internal/fault"
 	"dynprof/internal/machine"
 	"dynprof/internal/serve"
 )
@@ -116,7 +117,7 @@ func (s TenantsSpec) Key() string {
 		n.Machine.Name, n.Seed, faultKey(n.Machine))
 }
 
-func (s TenantsSpec) runCell(bud des.Budget) (any, error) { return runTenantsCell(s, bud) }
+func (s TenantsSpec) runCell(bud des.Budget) (cellResult, error) { return runTenantsCell(s, bud) }
 
 // TenantsResult is one measured tenants cell. Every field is
 // deterministic: the cell is a single-scheduler simulation, so the result
@@ -142,6 +143,10 @@ type TenantsResult struct {
 	// TraceBytes is the trace volume attributed to completed sessions.
 	TraceBytes int64
 }
+
+func (r TenantsResult) elapsed() des.Time     { return r.Elapsed }
+func (r TenantsResult) events() uint64        { return r.Events }
+func (r TenantsResult) faults() []fault.Event { return nil }
 
 // RunTenants executes one tenants cell without a budget.
 func RunTenants(spec TenantsSpec) (TenantsResult, error) {
@@ -277,9 +282,8 @@ func runTenantsCell(spec TenantsSpec, bud des.Budget) (TenantsResult, error) {
 // planTenants enumerates the tenants figure: latency percentiles across
 // the session sweep. The three series share one cell per x — the Runner
 // dedups them by spec key, so each sweep point simulates exactly once.
-func planTenants(opts Options) *figurePlan {
+func planTenants(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "tenants",
 		Title:  "Control-op latency vs concurrent sessions (multi-tenant server)",
 		XLabel: "Sessions",
 		YLabel: "Latency (s)",
@@ -305,10 +309,5 @@ func planTenants(opts Options) *figurePlan {
 			})
 		}
 	}
-	return plan
-}
-
-// Tenants reproduces the tenants figure (see planTenants).
-func Tenants(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planTenants(opts))
+	return plan, nil
 }

@@ -59,32 +59,6 @@ func TestTenantsCell(t *testing.T) {
 	}
 }
 
-// TestTenantsFigureParallelismInvariance runs the figure's 100-session
-// sweep point at host parallelism 1 and 8: the assembled figures must be
-// identical — the tenants cells are single-scheduler simulations, so host
-// concurrency only schedules whole cells.
-func TestTenantsFigureParallelismInvariance(t *testing.T) {
-	seq, err := Tenants(Options{MaxCPUs: 100, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Tenants(Options{MaxCPUs: 100, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallelism changed the figure:\n seq = %+v\n par = %+v", seq, par)
-	}
-	if len(seq.Series) != 3 {
-		t.Fatalf("series = %d, want p50/p95/p99", len(seq.Series))
-	}
-	for _, s := range seq.Series {
-		if len(s.Points) != 1 {
-			t.Fatalf("series %s has %d points, want 1 (MaxCPUs=100)", s.Label, len(s.Points))
-		}
-	}
-}
-
 // TestTenantsEvictionNeutrality pins the acceptance criterion of the
 // eviction path: evicting the abusive 2% leaves the remaining sessions'
 // latency distribution where it was without any abusers — the fair

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
+	"time"
 
 	"dynprof/internal/des"
 )
@@ -18,7 +20,8 @@ const protoQuantum = 4096
 
 // protoReq is one command line read from a connection, handed to the
 // bridge loop by that connection's reader goroutine. eof marks the
-// connection's end of stream instead of a command.
+// connection's end of stream instead of a command; an eof request's line,
+// if set, is a final reply to send before the connection is dropped.
 type protoReq struct {
 	pc   *protoConn
 	line string
@@ -165,7 +168,23 @@ func (b *Bridge) reader(pc *protoConn) {
 		b.reqs <- protoReq{pc: pc, line: line}
 		<-pc.ack
 	}
-	b.reqs <- protoReq{pc: pc, eof: true}
+	end := protoReq{pc: pc, eof: true}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		end.line = fmt.Sprintf("err line exceeds %d bytes", bufio.MaxScanTokenSize)
+		// Discard the rest of the line (for at most a second) so the close
+		// that follows the reply is an orderly one: closing with unread
+		// input resets the connection, which can destroy the reply in
+		// flight. A deadline that cannot be set means the connection is
+		// already unusable, and the first read below fails at once.
+		_ = pc.c.SetReadDeadline(time.Now().Add(time.Second))
+		r := bufio.NewReader(pc.c)
+		for {
+			if _, err := r.ReadSlice('\n'); err != bufio.ErrBufferFull {
+				break
+			}
+		}
+	}
+	b.reqs <- end
 }
 
 // dispatch spawns the handler Proc for one command (or connection EOF).
@@ -176,6 +195,9 @@ func (b *Bridge) dispatch(req protoReq) {
 	b.s.Spawn("proto", func(p *des.Proc) {
 		defer func() { b.completed++ }()
 		if req.eof {
+			if req.line != "" {
+				b.replyRaw(pc, req.line)
+			}
 			b.drop(p, pc)
 			return
 		}

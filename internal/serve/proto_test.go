@@ -228,3 +228,55 @@ func TestProtoSeqAndResume(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
+
+// TestProtoOversizedLine: a request line over the reader's 64 KiB limit
+// gets an err reply naming the limit, then the connection is dropped and
+// its session closed; the bridge keeps serving other connections.
+func TestProtoOversizedLine(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	s := des.NewScheduler(31)
+	sv := serve.New(s, serve.Config{Machine: machine.MustNew("ibm-power3")})
+	if _, err := sv.RegisterResident("smg", 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- serve.NewBridge(sv, ln).Serve() }()
+
+	dial := func() (net.Conn, *bufio.Scanner) {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, bufio.NewScanner(c)
+	}
+	c1, r1 := dial()
+	fmt.Fprintln(c1, "open alice smg")
+	if !r1.Scan() || !strings.HasPrefix(r1.Text(), "ok open alice") {
+		t.Fatalf("open reply %q (read err %v)", r1.Text(), r1.Err())
+	}
+	fmt.Fprintln(c1, "insert "+strings.Repeat("x", 70<<10))
+	if !r1.Scan() {
+		t.Fatalf("no reply to the oversized line (read err %v)", r1.Err())
+	}
+	if got := r1.Text(); got != "err line exceeds 65536 bytes" {
+		t.Fatalf("oversized-line reply %q", got)
+	}
+	if r1.Scan() {
+		t.Fatalf("connection still open after the oversized line: %q", r1.Text())
+	}
+
+	c2, r2 := dial()
+	fmt.Fprintln(c2, "shutdown")
+	if !r2.Scan() || r2.Text() != "ok shutdown" {
+		t.Fatalf("shutdown reply %q (read err %v)", r2.Text(), r2.Err())
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("bridge: %v", err)
+	}
+	if st := sv.Stats(); st.Closed != 1 {
+		t.Errorf("stats = %+v, want alice's session closed by the drop", st)
+	}
+}

@@ -26,6 +26,10 @@ go test -race ./internal/fault/ ./internal/dpcl/
 go test -race -run 'TestCluster|TestSingleShardMatchesSerial|TestCast' ./internal/des/
 go test -race -run 'TestScale|TestSpill' ./internal/exp/ ./internal/vt/
 
+# Race pass over the Runner's worker pool on the on-demand figures that
+# are quick enough to run under -race.
+go test -race -run 'TestOnDemandFigureParallelism/^(scale|tenants|compact)$' ./internal/exp/
+
 # Race pass over the multi-tenant session server: the protocol bridge's
 # per-connection reader goroutines are real host concurrency against the
 # DES loop, as is the CLI serve smoke.
@@ -67,23 +71,21 @@ cmp "$smoke/baseline.txt" "$smoke/resumed.txt"
     -spill-dir "$smoke/spill" -spill-threshold 1024 > "$smoke/scale8.txt"
 cmp "$smoke/scale1.txt" "$smoke/scale8.txt"
 
-# Tenants smoke: the 100-session cell of the multi-tenant sweep (admission
-# queueing, fair daemon scheduling, two quota evictions) must render the
-# same bytes at any host parallelism.
-"$smoke/experiments" -tenants -max-cpus 100 -parallel 1 > "$smoke/tenants1.txt"
-"$smoke/experiments" -tenants -max-cpus 100 -parallel 8 > "$smoke/tenants8.txt"
-cmp "$smoke/tenants1.txt" "$smoke/tenants8.txt"
+# On-demand figure smokes: each must render the same bytes at any host
+# parallelism, end to end through the CLI. Tenants runs only its
+# 100-session cell (admission queueing, fair daemon scheduling, two quota
+# evictions); adapt, recover and compact run their full sweeps.
+for fig in "tenants -max-cpus 100" adapt recover compact; do
+    name=${fig%% *}
+    "$smoke/experiments" -$fig -parallel 1 > "$smoke/${name}1.txt"
+    "$smoke/experiments" -$fig -parallel 8 > "$smoke/${name}8.txt"
+    cmp "$smoke/${name}1.txt" "$smoke/${name}8.txt"
+done
 
 # Race pass over the adaptive controller (pure unit tests plus the serve
 # integration already covered above) and the adapt/policy cells.
 go test -race ./internal/adapt/
 go test -race -run 'TestAdaptConvergence|TestAdaptSpecKey|TestPolicySpecKeys' ./internal/exp/
-
-# Adapt smoke: the budget-sweep figure (feedback controller over all four
-# kernels) must render the same bytes at any host parallelism.
-"$smoke/experiments" -adapt -parallel 1 > "$smoke/adapt1.txt"
-"$smoke/experiments" -adapt -parallel 8 > "$smoke/adapt8.txt"
-cmp "$smoke/adapt1.txt" "$smoke/adapt8.txt"
 
 # Race pass over the crash-recovery paths: leased sessions and automatic
 # probe-state repair in the server, including the 100-session
@@ -92,26 +94,13 @@ cmp "$smoke/adapt1.txt" "$smoke/adapt8.txt"
 go test -race -run 'TestLease|TestRecoverSmoke|TestProtoSeqAndResume|TestEvictIdempotent' ./internal/serve/
 go test -race -run 'TestRecoverCell|TestRecoverStoreRoundTrip' ./internal/exp/
 
-# Recover smoke: the crash-recovery figure (daemon-MTBF sweep of the
-# multi-tenant server) must render the same bytes at any host parallelism.
-"$smoke/experiments" -recover -parallel 1 > "$smoke/recover1.txt"
-"$smoke/experiments" -recover -parallel 8 > "$smoke/recover8.txt"
-cmp "$smoke/recover1.txt" "$smoke/recover8.txt"
-
 # Race pass over the trace-compaction paths: the compact encoder/decoder,
 # the byte-budget overflow policies, the version-checked spill file, and
 # the per-kernel VGV equivalence suite.
 go test -race -run 'TestCompact|TestByteBudget|TestSpillRejects|TestReadTraceAuto' \
     ./internal/vt/ ./internal/vgv/ ./internal/exp/
 
-# Compact smoke 1: the compaction figure (bytes/event at Full on all four
-# kernels) must render the same bytes at any host parallelism — encoded
-# sizes are a pure function of the simulated event stream.
-"$smoke/experiments" -compact -parallel 1 > "$smoke/compact1.txt"
-"$smoke/experiments" -compact -parallel 8 > "$smoke/compact8.txt"
-cmp "$smoke/compact1.txt" "$smoke/compact8.txt"
-
-# Compact smoke 2: end to end through the CLIs, a suppressed run's compact
+# Compact smoke: end to end through the CLIs, a suppressed run's compact
 # binary trace must decode to the same analysis bytes as a verbatim run's
 # textual trace (vgv sniffs the format).
 go build -o "$smoke/dynprof" ./cmd/dynprof
