@@ -32,14 +32,16 @@ func TestParseDeck(t *testing.T) {
 	}
 }
 
+// TestPickMachine: the -machine flag's legacy short names resolve to the
+// paper's presets.
 func TestPickMachine(t *testing.T) {
-	if m, err := pickMachine("ibm"); err != nil || m.CPUsPerNode != 8 {
+	if m, err := machine.New("ibm"); err != nil || m.CPUsPerNode != 8 {
 		t.Fatalf("ibm preset: %v %v", m, err)
 	}
-	if m, err := pickMachine("ia32"); err != nil || m.Nodes != 16 {
+	if m, err := machine.New("ia32"); err != nil || m.Nodes != 16 {
 		t.Fatalf("ia32 preset: %v %v", m, err)
 	}
-	if _, err := pickMachine("cray"); err == nil {
+	if _, err := machine.New("cray"); err == nil {
 		t.Error("unknown machine accepted")
 	}
 }

@@ -151,7 +151,7 @@ func TestAttachToRunningJob(t *testing.T) {
 		// Let the target get well into its main computation first.
 		p.Advance(200 * des.Millisecond)
 		var err error
-		attached, err = AttachSession(p, machine.MustNew("ibm-power3"), job, nil)
+		attached, err = AttachSession(p, machine.MustNew("ibm-power3"), job, AttachConfig{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -161,7 +161,7 @@ func TestAttachToRunningJob(t *testing.T) {
 			return
 		}
 		p.Advance(500 * des.Millisecond)
-		attached.Detach(p)
+		attached.Quit(p)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestAttachBeforeStartRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Spawn("tool", func(p *des.Proc) {
-		if _, err := AttachSession(p, machine.MustNew("ibm-power3"), job, nil); err == nil {
+		if _, err := AttachSession(p, machine.MustNew("ibm-power3"), job, AttachConfig{}); err == nil {
 			t.Error("attach to a never-started job succeeded")
 		}
 		job.Release()

@@ -59,24 +59,25 @@ func (img *Image) ExecExit(sym *Symbol, exitIndex int, ctx ExecCtx) int64 {
 func (img *Image) exec(at Addr, ctx ExecCtx, fname string) int64 {
 	p, ok := img.progs[at]
 	if !ok || p.gen != img.gen {
-		return img.compile(at, ctx, fname)
+		return img.walk(at, ctx, fname, &regionProg{gen: img.gen})
 	}
 	for i := range p.steps {
 		st := &p.steps[i]
 		st.fn(ctx)
 		if img.gen != p.gen {
-			return st.prefix + img.interp(st.resume, ctx, fname)
+			return st.prefix + img.walk(st.resume, ctx, fname, nil)
 		}
 	}
 	return p.total
 }
 
-// compile interprets the region once while recording its program. If a
-// snippet mutates the image mid-walk the recording is abandoned and the
-// rest of the region is interpreted directly.
-func (img *Image) compile(at Addr, ctx ExecCtx, fname string) int64 {
+// walk interprets words starting at `at` until a Body or Ret terminator and
+// returns their cycles. With a non-nil rec it also records the region's
+// program and caches it under `at` on completion; if a snippet mutates the
+// image mid-walk the recording is abandoned and the rest of the region is
+// interpreted without one.
+func (img *Image) walk(at Addr, ctx ExecCtx, fname string, rec *regionProg) int64 {
 	start := at
-	p := &regionProg{gen: img.gen}
 	var cycles int64
 	for step := 0; ; step++ {
 		if step >= maxSteps {
@@ -86,8 +87,10 @@ func (img *Image) compile(at Addr, ctx ExecCtx, fname string) int64 {
 		cycles += w.Cost()
 		switch w.Op {
 		case isa.Body, isa.Ret:
-			p.total = cycles
-			img.progs[start] = p
+			if rec != nil {
+				rec.total = cycles
+				img.progs[start] = rec
+			}
 			return cycles
 		case isa.Jmp:
 			at = Addr(w.Arg)
@@ -96,41 +99,13 @@ func (img *Image) compile(at Addr, ctx ExecCtx, fname string) int64 {
 			if !ok {
 				panic(fmt.Sprintf("image %s: unbound snippet %d in %s", img.name, w.Arg, fname))
 			}
-			p.steps = append(p.steps, progStep{fn: fn, resume: at + 1, prefix: cycles})
-			fn(ctx)
-			if img.gen != p.gen {
-				return cycles + img.interp(at+1, ctx, fname)
-			}
-			at++
-		case isa.Illegal:
-			panic(fmt.Sprintf("image %s: illegal instruction at %d in %s (freed trampoline executed?)", img.name, at, fname))
-		default:
-			at++
-		}
-	}
-}
-
-// interp interprets words starting at addr until a Body or Ret terminator,
-// recording nothing: the fallback path after a mid-region patch.
-func (img *Image) interp(at Addr, ctx ExecCtx, fname string) int64 {
-	var cycles int64
-	for step := 0; ; step++ {
-		if step >= maxSteps {
-			panic(fmt.Sprintf("image %s: runaway execution in %s at %d (jump cycle from bad patch?)", img.name, fname, at))
-		}
-		w := img.Word(at)
-		cycles += w.Cost()
-		switch w.Op {
-		case isa.Body, isa.Ret:
-			return cycles
-		case isa.Jmp:
-			at = Addr(w.Arg)
-		case isa.SnippetCall:
-			fn, ok := img.snippets[w.Arg]
-			if !ok {
-				panic(fmt.Sprintf("image %s: unbound snippet %d in %s", img.name, w.Arg, fname))
+			if rec != nil {
+				rec.steps = append(rec.steps, progStep{fn: fn, resume: at + 1, prefix: cycles})
 			}
 			fn(ctx)
+			if rec != nil && img.gen != rec.gen {
+				return cycles + img.walk(at+1, ctx, fname, nil)
+			}
 			at++
 		case isa.Illegal:
 			panic(fmt.Sprintf("image %s: illegal instruction at %d in %s (freed trampoline executed?)", img.name, at, fname))

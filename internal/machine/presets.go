@@ -19,6 +19,12 @@ var (
 		"ibm-power3": ibmPower3,
 		"ia32-linux": ia32Linux,
 	}
+	// aliases are the short machine names that predate the registry; New
+	// resolves them to the canonical preset, whose Name feeds spec keys.
+	aliases = map[string]string{
+		"ibm":  "ibm-power3",
+		"ia32": "ia32-linux",
+	}
 )
 
 // New builds a machine from a registered preset refined by options:
@@ -27,10 +33,14 @@ var (
 //		machine.WithNodes(64),
 //		machine.WithFaults(plan))
 //
+// The legacy aliases "ibm" and "ia32" name the paper's two presets.
 // Unknown preset ids fail with the registered set listed. Options apply
 // in order to a fresh copy of the preset; the registry entry is never
 // mutated.
 func New(id string, opts ...Option) (*Config, error) {
+	if canon, ok := aliases[id]; ok {
+		id = canon
+	}
 	presetMu.RLock()
 	build, ok := presets[id]
 	presetMu.RUnlock()

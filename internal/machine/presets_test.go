@@ -23,6 +23,13 @@ func TestNewMatchesBuilders(t *testing.T) {
 	if *ia32 != *ia32Linux() {
 		t.Errorf("New(ia32-linux) = %+v differs from the ia32Linux builder", *ia32)
 	}
+	// The legacy aliases resolve to the canonical presets, Name included.
+	if m, err := New("ibm"); err != nil || *m != *ibmPower3() {
+		t.Errorf("New(ibm) = %+v, %v; want the ibmPower3 builder", m, err)
+	}
+	if m, err := New("ia32"); err != nil || *m != *ia32Linux() {
+		t.Errorf("New(ia32) = %+v, %v; want the ia32Linux builder", m, err)
+	}
 }
 
 func TestNewOptions(t *testing.T) {

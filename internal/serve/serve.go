@@ -54,9 +54,9 @@ type Config struct {
 	DefaultQuota Quota
 	// Lease enables leased sessions: a session whose client link drops is
 	// suspended for this grace window instead of being torn down, and a
-	// reconnecting client resumes it (probes, quotas, and adaptive state
-	// intact) by session token. Control operations and heartbeats renew the
-	// lease; a suspended session whose lease expires is evicted through the
+	// reconnecting client resumes it (probes and quotas intact) by
+	// session token. Control operations and heartbeats renew the lease; a
+	// suspended session whose lease expires is evicted through the
 	// ordinary eviction path. Zero disables leasing (dropped links close
 	// their sessions immediately, the pre-lease behaviour).
 	Lease des.Time
@@ -322,7 +322,7 @@ func (sv *Server) Open(p *des.Proc, user, jobName string, quota *Quota) (*Sessio
 	sv.tokenSeq++
 	sn := &Session{sv: sv, user: user, jb: jb, quota: q, lastRefill: p.Now(),
 		token: fmt.Sprintf("sess-%06d", sv.tokenSeq)}
-	ss, err := core.AttachSessionWith(p, sv.cfg.Machine, jb.job, core.AttachConfig{
+	ss, err := core.AttachSession(p, sv.cfg.Machine, jb.job, core.AttachConfig{
 		System:  sv.sys,
 		User:    user,
 		Output:  sv.cfg.Output,
@@ -343,11 +343,11 @@ func (sv *Server) Open(p *des.Proc, user, jobName string, quota *Quota) (*Sessio
 }
 
 // SuspendSession parks a session whose client link dropped: the session
-// keeps its probes, quotas, and adaptive state, its lease is renewed to a
-// full grace window, and an expiry watcher is armed. The watcher is armed
-// only here — connected sessions schedule no lease events — so a leased
-// server that never loses a link runs the exact event sequence of an
-// unleased one. No-op when leasing is disabled or the session is already
+// keeps its probes and quotas, its lease is renewed to a full grace
+// window, and an expiry watcher is armed. The watcher is armed only
+// here — connected sessions schedule no lease events — so a leased server
+// that never loses a link runs the exact event sequence of an unleased
+// one. No-op when leasing is disabled or the session is already
 // suspended, evicted, or closed.
 func (sv *Server) SuspendSession(sn *Session) {
 	if sv.cfg.Lease <= 0 || sn.suspended || sn.evicted || sn.closed {
@@ -360,8 +360,8 @@ func (sv *Server) SuspendSession(sn *Session) {
 }
 
 // ResumeSession re-binds a reconnecting client to its suspended session by
-// token: the session resumes with probes, quotas, and adaptive state
-// intact, and a fresh lease. Evicted sessions report why (errors.Is
+// token: the session resumes with probes and quotas intact, and a fresh
+// lease. Evicted sessions report why (errors.Is
 // ErrEvicted); unknown tokens, closed sessions, and sessions that were
 // never suspended are errors.
 func (sv *Server) ResumeSession(token string) (*Session, error) {

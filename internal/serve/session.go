@@ -27,10 +27,6 @@ type Session struct {
 	traceEvents int64
 	samples     []des.Time
 
-	// adaptive is the attached controller state (nil unless the tenant
-	// called EnableAdaptive).
-	adaptive *adaptive
-
 	evicted     bool
 	evictReason string
 	closed      bool

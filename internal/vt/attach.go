@@ -12,12 +12,10 @@ type AttachOption func(*attachCfg)
 type attachCfg struct {
 	cfg       *Config
 	col       *Collector
-	compact   bool
 	countOnly bool
 	traceMPI  bool
 	traceOMP  bool
 	bufEvents int
-	bufBytes  int
 	overflow  fault.OverflowPolicy
 	inj       *fault.Injector
 }
@@ -37,23 +35,6 @@ func WithConfigText(text string) AttachOption {
 // WithCollector directs flushed events to col instead of a fresh one.
 func WithCollector(col *Collector) AttachOption {
 	return func(a *attachCfg) { a.col = col }
-}
-
-// WithCompact stores the trace with online redundancy suppression (see
-// compact.go): when no collector is supplied via WithCollector, the
-// attachment creates one with NewCompactCollector. It has no effect on a
-// supplied collector — pass one built by NewCompactCollector instead.
-func WithCompact() AttachOption {
-	return func(a *attachCfg) { a.compact = true }
-}
-
-// WithByteBudget caps every thread's trace buffer at n encoded bytes,
-// resolving overflows with the given policy. With a compact collector the
-// budget is charged against compressed units (ctx.go), so suppression
-// stretches it over more events; with a verbatim collector it degrades to
-// an event cap of n/EventBytes.
-func WithByteBudget(n int, policy fault.OverflowPolicy) AttachOption {
-	return func(a *attachCfg) { a.bufBytes, a.overflow = n, policy }
 }
 
 // WithCountOnly keeps cost and statistics accounting but drops event
@@ -108,7 +89,6 @@ func Attach(world *mpi.World, opts ...AttachOption) *Attachment {
 			TraceMPI:     a.traceMPI,
 			CountOnly:    a.countOnly,
 			BufferEvents: a.bufEvents,
-			BufferBytes:  a.bufBytes,
 			Overflow:     a.overflow,
 			Faults:       a.inj,
 			Node:         place.NodeOf(r),
@@ -128,7 +108,6 @@ func AttachLocal(node int, opts ...AttachOption) *Attachment {
 		TraceOMP:     a.traceOMP,
 		CountOnly:    a.countOnly,
 		BufferEvents: a.bufEvents,
-		BufferBytes:  a.bufBytes,
 		Overflow:     a.overflow,
 		Faults:       a.inj,
 		Node:         node,
@@ -141,11 +120,7 @@ func build(opts []AttachOption) *attachCfg {
 		o(a)
 	}
 	if a.col == nil {
-		if a.compact {
-			a.col = NewCompactCollector()
-		} else {
-			a.col = NewCollector()
-		}
+		a.col = NewCollector()
 	}
 	return a
 }

@@ -21,8 +21,7 @@ import (
 // decode.
 //
 // A compact collector (NewCompactCollector) stores encoded blocks instead
-// of verbatim events. One block encodes one Append batch (or one sealed
-// per-thread unit, see ctx.go):
+// of verbatim events. One block encodes one Append batch:
 //
 //	block   := op*                      (the event count travels out of band:
 //	                                     blockRef in memory, frame on disk)
@@ -155,27 +154,16 @@ func NewCompactCollector() *Collector {
 	return col
 }
 
-// Compact reports whether the collector suppresses redundancy (encoded
-// blocks) rather than storing events verbatim.
-func (col *Collector) Compact() bool { return col.compact }
-
 // CompactStats returns the collector's suppression counters (zero for a
 // verbatim collector).
 func (col *Collector) CompactStats() CompactStats { return col.stats }
 
-// encodeBlockTo encodes evs as one compact block appended to dst, using
-// the collector's pooled encoder. Callers own the returned buffer; the
-// block is NOT added to the collector (see ctx.go's sealed units).
-func (col *Collector) encodeBlockTo(dst []byte, evs []Event) (out []byte, recs, reps int) {
-	return col.enc.encodeBlock(dst, evs)
-}
-
 // appendCompact is Append for a compact collector: carve the batch into
 // non-decreasing-time segments exactly as the verbatim path does (segment
 // indices are event positions, so the merge semantics are unchanged), then
-// store the encoded block. A pre-encoded frame (adopted from a trace file
-// or a sealed per-thread unit) is copied verbatim instead of re-encoded;
-// recs/reps then carry the frame's op counts.
+// store the encoded block. A pre-encoded frame (adopted from a trace file)
+// is copied verbatim instead of re-encoded; recs/reps then carry the
+// frame's op counts.
 func (col *Collector) appendCompact(events []Event, frame []byte, recs, reps int) {
 	base := col.count
 	for i := 0; i < len(events); {
@@ -203,34 +191,6 @@ func (col *Collector) appendCompact(events []Event, frame []byte, recs, reps int
 	col.stats.Records += recs
 	col.stats.Repeats += reps
 	col.stats.Bytes += len(col.carena) - off
-	if col.spill != nil {
-		col.spill.maybeSpill(col)
-	}
-}
-
-// adoptSealed appends a pre-encoded single-thread unit: its events are
-// consecutive records of one thread, so times are non-decreasing and the
-// whole unit is one segment — only the boundary times are needed to carve
-// it. This is the mid-run flush path for byte-budgeted buffers (ctx.go).
-func (col *Collector) adoptSealed(frame []byte, count int, firstAt, lastAt des.Time, recs, reps int) {
-	if count == 0 {
-		return
-	}
-	base := col.count
-	if n := len(col.segs); n > 0 && base > 0 && firstAt >= col.lastAt {
-		col.segs[n-1].end = base + count
-	} else {
-		col.segs = append(col.segs, segRange{start: base, end: base + count})
-	}
-	off := len(col.carena)
-	col.carena = append(col.carena, frame...)
-	col.blocks = append(col.blocks, blockRef{off: off, end: len(col.carena), count: count})
-	col.count += count
-	col.lastAt = lastAt
-	col.stats.EventsIn += count
-	col.stats.Records += recs
-	col.stats.Repeats += reps
-	col.stats.Bytes += len(frame)
 	if col.spill != nil {
 		col.spill.maybeSpill(col)
 	}

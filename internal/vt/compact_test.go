@@ -344,15 +344,18 @@ func driveLoop(c *Ctx, ec *fakeEC, iters int) {
 	}
 }
 
+// TestByteBudgetFlushEarly: a compact collector behind a small buffer
+// (256 bytes' worth of events) under flush-early loses nothing over a long
+// loop, and its merged trace equals that of an unbudgeted verbatim Ctx.
 func TestByteBudgetFlushEarly(t *testing.T) {
 	col := NewCompactCollector()
 	defer col.Release()
-	c := NewCtx(Options{Collector: col, BufferBytes: 256, Overflow: fault.OverflowFlushEarly})
+	c := NewCtx(Options{Collector: col, BufferEvents: 256 / EventBytes, Overflow: fault.OverflowFlushEarly})
 	ec := &fakeEC{}
 	driveLoop(c, ec, 4000)
 	c.Flush()
 	if c.Overflows() == 0 {
-		t.Fatal("no overflows despite tiny byte budget")
+		t.Fatal("no overflows despite tiny buffer")
 	}
 	if c.MidRunFlushes() == 0 {
 		t.Fatal("flush-early produced no mid-run flushes")
@@ -361,7 +364,7 @@ func TestByteBudgetFlushEarly(t *testing.T) {
 		t.Fatalf("flush-early lost events: %d of 16000", got)
 	}
 	// The same probes through a verbatim collector must yield the same
-	// merged trace: budget pressure changes when data moves, not what is
+	// merged trace: buffer pressure changes when data moves, not what is
 	// recorded.
 	ref := NewCollector()
 	defer ref.Release()
@@ -370,57 +373,6 @@ func TestByteBudgetFlushEarly(t *testing.T) {
 	rc.Flush()
 	if !reflect.DeepEqual(col.Events(), ref.Events()) {
 		t.Fatal("flush-early trace diverges from unbudgeted reference")
-	}
-}
-
-func TestByteBudgetDropOldest(t *testing.T) {
-	col := NewCompactCollector()
-	defer col.Release()
-	c := NewCtx(Options{Collector: col, BufferBytes: 256, Overflow: fault.OverflowDropOldest})
-	ec := &fakeEC{}
-	driveLoop(c, ec, 4000)
-	c.Flush()
-	if c.Overflows() == 0 {
-		t.Fatal("no overflows despite tiny byte budget")
-	}
-	if got := col.Len(); got == 0 || got >= 16000 {
-		t.Fatalf("drop-oldest kept %d events, want a non-empty strict subset", got)
-	}
-	// The retained suffix must still decode exactly.
-	evs := col.Events()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At < evs[i-1].At {
-			t.Fatal("retained events not time-ordered")
-		}
-	}
-}
-
-func TestByteBudgetDisableProbe(t *testing.T) {
-	col := NewCompactCollector()
-	defer col.Release()
-	c := NewCtx(Options{Collector: col, BufferBytes: 256, Overflow: fault.OverflowDisableProbe})
-	ec := &fakeEC{}
-	driveLoop(c, ec, 4000)
-	c.Flush()
-	if c.Overflows() == 0 {
-		t.Fatal("no overflows despite tiny byte budget")
-	}
-	if c.Active(0) || c.Active(1) {
-		t.Fatal("disable-probe left probes active under budget pressure")
-	}
-}
-
-// TestByteBudgetVerbatimDegrade: a byte budget on a verbatim collector
-// must behave as an event cap.
-func TestByteBudgetVerbatimDegrade(t *testing.T) {
-	col := NewCollector()
-	defer col.Release()
-	c := NewCtx(Options{Collector: col, BufferBytes: 10 * EventBytes, Overflow: fault.OverflowDropOldest})
-	ec := &fakeEC{}
-	driveLoop(c, ec, 100)
-	c.Flush()
-	if got := col.Len(); got != 10 {
-		t.Fatalf("verbatim degrade kept %d events, want 10", got)
 	}
 }
 

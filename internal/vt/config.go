@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -47,7 +48,7 @@ func ParseConfig(r io.Reader) (*Config, error) {
 		default:
 			return nil, fmt.Errorf("vt: config line %d: state %q is not ON or OFF", line, fields[2])
 		}
-		cfg.rules = append(cfg.rules, rule{pattern: fields[1], active: active})
+		cfg.Set(fields[1], active)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -65,8 +66,15 @@ func MustParseConfig(text string) *Config {
 	return cfg
 }
 
-// Set appends a rule, as a runtime reconfiguration would.
+// Set appends a rule, as a runtime reconfiguration would. An earlier rule
+// with the identical pattern matches exactly the names the new one does,
+// so the new one shadows it everywhere; it is removed first, keeping the
+// rule list bounded by the number of distinct patterns however many
+// reconfigurations arrive.
 func (cfg *Config) Set(pattern string, active bool) {
+	if i := slices.IndexFunc(cfg.rules, func(r rule) bool { return r.pattern == pattern }); i >= 0 {
+		cfg.rules = slices.Delete(cfg.rules, i, i+1)
+	}
 	cfg.rules = append(cfg.rules, rule{pattern: pattern, active: active})
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -56,6 +57,53 @@ SYMBOL main OFF
 	for name, want := range cases {
 		if got := cfg.Active(name); got != want {
 			t.Errorf("Active(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestConfigSetBounded: repeated updates of one pattern, as every adapt
+// epoch or confsync batch makes, replace its rule instead of growing the
+// list.
+func TestConfigSetBounded(t *testing.T) {
+	cfg := &Config{}
+	for i := 0; i < 10000; i++ {
+		cfg.Set("f", i%2 == 0)
+	}
+	if cfg.Rules() != 1 {
+		t.Fatalf("rules = %d after 10k updates of one pattern, want 1", cfg.Rules())
+	}
+	if cfg.Active("f") {
+		t.Error("last update (OFF) not in effect")
+	}
+}
+
+// TestConfigSetMatchesAppendOnly: random updates over exact and prefix
+// patterns give the same activation as an append-only rule list.
+func TestConfigSetMatchesAppendOnly(t *testing.T) {
+	patterns := []string{"*", "smg_*", "smg_relax", "smg_", "main", "ma*", "mpi_*", "mpi_send"}
+	names := []string{"smg_relax", "smg_", "smg_solve", "main", "mainline", "mpi_send", "mpi_recv", "other", ""}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		cfg := &Config{}
+		var ref []rule
+		for step := 0; step < 50; step++ {
+			p, on := patterns[rng.Intn(len(patterns))], rng.Intn(2) == 0
+			cfg.Set(p, on)
+			ref = append(ref, rule{pattern: p, active: on})
+			for _, name := range names {
+				want := true
+				for _, r := range ref {
+					if matchPattern(r.pattern, name) {
+						want = r.active
+					}
+				}
+				if got := cfg.Active(name); got != want {
+					t.Fatalf("trial %d step %d: Active(%q) = %v, append-only reference %v", trial, step, name, got, want)
+				}
+			}
+		}
+		if cfg.Rules() > len(patterns) {
+			t.Fatalf("trial %d: %d rules for %d distinct patterns", trial, cfg.Rules(), len(patterns))
 		}
 	}
 }

@@ -82,8 +82,8 @@ for fig in "tenants -max-cpus 100" adapt recover compact; do
     cmp "$smoke/${name}1.txt" "$smoke/${name}8.txt"
 done
 
-# Race pass over the adaptive controller (pure unit tests plus the serve
-# integration already covered above) and the adapt/policy cells.
+# Race pass over the adaptive controller (pure unit tests) and the
+# adapt/policy cells.
 go test -race ./internal/adapt/
 go test -race -run 'TestAdaptConvergence|TestAdaptSpecKey|TestPolicySpecKeys' ./internal/exp/
 
@@ -95,9 +95,8 @@ go test -race -run 'TestLease|TestRecoverSmoke|TestProtoSeqAndResume|TestEvictId
 go test -race -run 'TestRecoverCell|TestRecoverStoreRoundTrip' ./internal/exp/
 
 # Race pass over the trace-compaction paths: the compact encoder/decoder,
-# the byte-budget overflow policies, the version-checked spill file, and
-# the per-kernel VGV equivalence suite.
-go test -race -run 'TestCompact|TestByteBudget|TestSpillRejects|TestReadTraceAuto' \
+# the version-checked spill file, and the per-kernel VGV equivalence suite.
+go test -race -run 'TestCompact|TestSpillRejects|TestReadTraceAuto' \
     ./internal/vt/ ./internal/vgv/ ./internal/exp/
 
 # Compact smoke: end to end through the CLIs, a suppressed run's compact
