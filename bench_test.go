@@ -205,7 +205,7 @@ func BenchmarkTrampolineExecution(b *testing.B) {
 		if patched {
 			sym := img.MustLookup("f")
 			id := img.NewSnippetID()
-			img.BindSnippet(id, "s", func(ec image.ExecCtx) {})
+			img.BindSnippet(id, func(ec image.ExecCtx) {})
 			for i := 0; i < chain; i++ {
 				h, err := img.InsertProbe(sym, image.EntryPoint, 0, id)
 				if err != nil {
@@ -266,7 +266,7 @@ func BenchmarkProbeInsertRemove(b *testing.B) {
 		for _, f := range app.Subset {
 			sym := img.MustLookup(f)
 			id := img.NewSnippetID()
-			img.BindSnippet(id, f, v.BeginSnippet(v.FuncDef(f)))
+			img.BindSnippet(id, v.BeginSnippet(v.FuncDef(f)))
 			h, err := img.InsertProbe(sym, image.EntryPoint, 0, id)
 			if err != nil {
 				b.Fatal(err)

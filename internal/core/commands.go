@@ -17,21 +17,6 @@ import (
 // treats it as fatal; session clients match it with errors.Is.
 var ErrUnknownCommand = errors.New("unknown command")
 
-// helpText is Table 1: the commands accepted by the dynprof tool.
-const helpText = `dynprof commands:
-  help         (h)   Displays a help message
-  insert       (i)   Inserts instrumentation into one or more functions
-  remove       (r)   Removes instrumentation from one or more functions
-  insert-file  (if)  Inserts instrumentation into all of the functions
-                     listed in the provided file or files
-  remove-file  (rf)  Removes instrumentation from all of the functions
-                     listed in the provided file or files
-  start        (s)   Starts execution of the target application
-  quit         (q)   Detaches the instrumenter from the application
-  wait         (w)   Causes the tool to wait before executing the next
-                     command (argument: seconds)
-`
-
 // CommandInfo is one row of Table 1.
 type CommandInfo struct {
 	Name     string
@@ -39,28 +24,21 @@ type CommandInfo struct {
 	Desc     string
 }
 
+// table1 is Table 1: the commands accepted by the dynprof tool. Exec
+// resolves shortcuts from it and help prints it.
+var table1 = []CommandInfo{
+	{"help", "h", "Displays a help message"},
+	{"insert", "i", "Inserts instrumentation into one or more functions."},
+	{"remove", "r", "Removes instrumentation from one or more functions."},
+	{"insert-file", "if", "Inserts instrumentation into all of the functions listed in the provided file or files."},
+	{"remove-file", "rf", "Removes instrumentation from all of the functions listed in the provided file or files."},
+	{"start", "s", "Starts execution of the target application."},
+	{"quit", "q", "Detaches the instrumenter from the application."},
+	{"wait", "w", "Causes the tool to wait before executing the next command."},
+}
+
 // Commands returns Table 1: the commands accepted by the dynprof tool.
-func Commands() []CommandInfo {
-	return []CommandInfo{
-		{"help", "h", "Displays a help message"},
-		{"insert", "i", "Inserts instrumentation into one or more functions."},
-		{"remove", "r", "Removes instrumentation from one or more functions."},
-		{"insert-file", "if", "Inserts instrumentation into all of the functions listed in the provided file or files."},
-		{"remove-file", "rf", "Removes instrumentation from all of the functions listed in the provided file or files."},
-		{"start", "s", "Starts execution of the target application."},
-		{"quit", "q", "Detaches the instrumenter from the application."},
-		{"wait", "w", "Causes the tool to wait before executing the next command."},
-	}
-}
-
-// CommandNames lists the full command names of Table 1.
-var CommandNames = []string{"help", "insert", "remove", "insert-file", "remove-file", "start", "quit", "wait"}
-
-// Shortcuts maps each Table 1 shortcut to its full command name.
-var Shortcuts = map[string]string{
-	"h": "help", "i": "insert", "r": "remove", "if": "insert-file",
-	"rf": "remove-file", "s": "start", "q": "quit", "w": "wait",
-}
+func Commands() []CommandInfo { return append([]CommandInfo(nil), table1...) }
 
 // Exec runs one dynprof command line. It returns done=true after quit.
 func (ss *Session) Exec(p *des.Proc, line string) (done bool, err error) {
@@ -69,13 +47,19 @@ func (ss *Session) Exec(p *des.Proc, line string) (done bool, err error) {
 		return false, nil
 	}
 	cmd := fields[0]
-	if full, ok := Shortcuts[cmd]; ok {
-		cmd = full
+	for _, c := range table1 {
+		if cmd == c.Shortcut {
+			cmd = c.Name
+			break
+		}
 	}
 	args := fields[1:]
 	switch cmd {
 	case "help":
-		fmt.Fprint(ss.out, helpText)
+		fmt.Fprintln(ss.out, "dynprof commands:")
+		for _, c := range table1 {
+			fmt.Fprintf(ss.out, "  %-13s%-6s%s\n", c.Name, "("+c.Shortcut+")", c.Desc)
+		}
 		return false, nil
 	case "insert":
 		if len(args) == 0 {

@@ -93,19 +93,18 @@ func runSession(t *testing.T, app *guide.App, procs int, script string, files ma
 }
 
 func TestTable1Commands(t *testing.T) {
-	// Every command and shortcut of Table 1 must be recognised.
-	if len(CommandNames) != 8 {
-		t.Fatalf("command count = %d, want 8", len(CommandNames))
+	// Table 1 has eight commands, each with a distinct name and shortcut.
+	cmds := Commands()
+	if len(cmds) != 8 {
+		t.Fatalf("command count = %d, want 8", len(cmds))
 	}
-	for sc, full := range Shortcuts {
-		found := false
-		for _, c := range CommandNames {
-			if c == full {
-				found = true
+	seen := map[string]bool{}
+	for _, c := range cmds {
+		for _, w := range []string{c.Name, c.Shortcut} {
+			if w == "" || seen[w] {
+				t.Errorf("command %q: empty or duplicate name/shortcut %q", c.Name, w)
 			}
-		}
-		if !found {
-			t.Errorf("shortcut %q maps to unknown command %q", sc, full)
+			seen[w] = true
 		}
 	}
 	var out bytes.Buffer
@@ -138,9 +137,11 @@ func TestTable1Commands(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, word := range []string{"insert-file", "remove-file", "start", "quit", "wait"} {
-		if !strings.Contains(out.String(), word) {
-			t.Errorf("help output missing %q", word)
+	for _, c := range cmds {
+		for _, word := range []string{c.Name, "(" + c.Shortcut + ")"} {
+			if !strings.Contains(out.String(), word) {
+				t.Errorf("help output missing %q", word)
+			}
 		}
 	}
 }

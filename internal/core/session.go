@@ -505,9 +505,6 @@ func (ss *Session) Recoveries() int { return ss.recoveries }
 // tools can force it).
 func (ss *Session) Reconcile(p *des.Proc) (int, error) { return ss.cl.Reconcile(p) }
 
-// WaitAppExit blocks until the target finishes.
-func (ss *Session) WaitAppExit(p *des.Proc) { ss.job.WaitAll(p) }
-
 // CreateAndInstrumentTime reports the Figure 9 metric: virtual time from
 // session creation until the spins were released (application created,
 // attached, and all requested instrumentation inserted).

@@ -34,9 +34,6 @@ func (tf *Timefile) Begin(name string, start des.Time) func(end des.Time) {
 	return func(end des.Time) { tf.entries[idx].End = end }
 }
 
-// Entries returns all recorded intervals in order.
-func (tf *Timefile) Entries() []TimeEntry { return append([]TimeEntry(nil), tf.entries...) }
-
 // Total sums the durations of all intervals with the given name.
 func (tf *Timefile) Total(name string) des.Time {
 	var sum des.Time

@@ -113,8 +113,3 @@ func (p *Proc) Advance(d Time) {
 	p.s.resumeAfter(d, p)
 	p.park("advance")
 }
-
-// Killed reports whether the simulation is tearing down. Long-running Proc
-// loops do not need to poll this: abort is delivered via panic at the next
-// blocking operation.
-func (p *Proc) Killed() bool { return p.killed }

@@ -263,10 +263,6 @@ type commDaemon struct {
 func (d *commDaemon) deliver(m any) {
 	sys := d.sys
 	if req, isReq := m.(*request); isReq {
-		if sys.inj.CtrlLostAt(sys.s.Now()) {
-			sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" request lost (outage)")
-			return
-		}
 		if sys.inj.DropCtrl() {
 			sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" request lost")
 			return
@@ -443,7 +439,7 @@ func (d *commDaemon) nackStale(req *request) {
 	if req.reply == nil {
 		return
 	}
-	if sys.inj.CtrlLostAt(sys.s.Now()) || sys.inj.DropCtrl() {
+	if sys.inj.DropCtrl() {
 		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" stale nack lost")
 		return
 	}
@@ -491,10 +487,6 @@ func (d *commDaemon) ackTo(req *request) {
 		return
 	}
 	sys := d.sys
-	if sys.inj.CtrlLostAt(sys.s.Now()) {
-		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" ack lost (outage)")
-		return
-	}
 	if sys.inj.DropCtrl() {
 		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" ack lost")
 		return
@@ -599,9 +591,6 @@ func (cl *Client) Attach(p *des.Proc, procs []*proc.Process) {
 // Events returns the client's notification mailbox; instrumenters Recv on
 // it for callbacks and breakpoint hits.
 func (cl *Client) Events() *des.Mailbox { return cl.events }
-
-// Targets returns the processes the client is attached to.
-func (cl *Client) Targets() []*proc.Process { return append([]*proc.Process(nil), cl.procs...) }
 
 // daemonFor resolves the communication daemon serving pr.
 func (cl *Client) daemonFor(pr *proc.Process) *commDaemon {

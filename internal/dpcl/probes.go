@@ -204,10 +204,3 @@ func (cl *Client) WatchBreakpoints(procs []*proc.Process, symbol string) {
 		})
 	}
 }
-
-// ClearBreakpoints removes breakpoint handlers from the targets.
-func (cl *Client) ClearBreakpoints(procs []*proc.Process) {
-	for _, pr := range procs {
-		pr.SetBreakpointHandler(nil)
-	}
-}

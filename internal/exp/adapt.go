@@ -3,12 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"dynprof/internal/adapt"
 	"dynprof/internal/apps"
-	"dynprof/internal/core"
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
-	"dynprof/internal/guide"
 	"dynprof/internal/machine"
 )
 
@@ -139,8 +136,8 @@ func runAdaptCell(spec AdaptSpec, bud des.Budget) (AdaptResult, error) {
 	if err != nil {
 		return res, err
 	}
-	r, sum, err := runAdaptiveSession(spec.Machine, app, spec.CPUs, spec.Args, spec.Seed, bud,
-		adapt.Config{Budget: spec.Budget, EpochEvery: spec.Epoch})
+	pol := Adaptive{Budget: spec.Budget, Epoch: spec.Epoch}
+	r, sum, err := pol.session(RunSpec{Policy: pol, CPUs: spec.CPUs, Machine: spec.Machine, Args: spec.Args, Seed: spec.Seed}, app, bud)
 	res.Faults = r.Faults
 	if err != nil {
 		return res, err
@@ -158,59 +155,6 @@ func runAdaptCell(spec AdaptSpec, bud des.Budget) (AdaptResult, error) {
 	res.Reactivated = sum.Reactivated
 	res.Events = uint64(sum.Recorded)
 	return res, nil
-}
-
-// runAdaptiveSession is the shared execution path of the Adaptive policy
-// and the adapt figure: a dynprof session over a fully instrumented
-// target, with the adapt controller attached before start. An aborted run
-// (budget trip, proc panic) tears the session down host-side.
-func runAdaptiveSession(mach *machine.Config, app *guide.App, cpus int, args map[string]int, seed uint64, bud des.Budget, cfg adapt.Config) (Result, adapt.Summary, error) {
-	res := Result{App: app.Name, CPUs: cpus}
-	s := des.NewScheduler(seed, des.WithBudget(bud))
-	var ss *core.Session
-	var rt *adapt.Runtime
-	var sessErr error
-	defer func() {
-		if ss != nil && ss.Job() != nil {
-			ss.Job().Collector().Release()
-		}
-	}()
-	s.Spawn("dynprof", func(p *des.Proc) {
-		ss, sessErr = core.NewSession(p, core.Config{
-			Machine:   mach,
-			App:       app,
-			BuildOpts: guide.BuildOpts{TraceMPI: true, TraceOMP: true, StaticInstrument: true},
-			Procs:     cpus,
-			Args:      args,
-			CountOnly: true,
-		})
-		if sessErr != nil {
-			return
-		}
-		rt, sessErr = adapt.Attach(p, ss, cfg)
-		if sessErr != nil {
-			return
-		}
-		ss.Start(p)
-		ss.Quit(p)
-	})
-	if err := runScheduler(s); err != nil {
-		if ss != nil {
-			ss.Teardown()
-			res.Faults = ss.Faults()
-		}
-		return res, adapt.Summary{}, err
-	}
-	if sessErr != nil {
-		return res, adapt.Summary{}, sessErr
-	}
-	res.Elapsed = ss.Job().MainElapsed()
-	res.CreateAndInstrument = ss.CreateAndInstrumentTime()
-	for i := range ss.Job().Processes() {
-		res.TraceBytes += ss.Job().VT(i).TraceBytes()
-	}
-	res.Faults = ss.Faults()
-	return res, rt.Summary(), nil
 }
 
 // planAdapt enumerates the adapt figure: for each kernel, the achieved

@@ -13,7 +13,6 @@ import (
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
 	"dynprof/internal/guide"
-	"dynprof/internal/machine"
 	"dynprof/internal/vt"
 )
 
@@ -109,8 +108,12 @@ func subsetConfig(app *guide.App) *vt.Config {
 	return vt.MustParseConfig(b.String())
 }
 
-// BuildOpts maps the policy to its compile-time configuration.
+// BuildOpts maps the policy to its compile-time configuration. Dynamic
+// builds the bare binary: dynprof adds everything at run time.
 func (p StaticPolicy) BuildOpts(app *guide.App) guide.BuildOpts {
+	if p == Dynamic {
+		return guide.BuildOpts{}
+	}
 	opts := guide.BuildOpts{TraceMPI: true, TraceOMP: true}
 	switch p {
 	case Full:
@@ -121,15 +124,17 @@ func (p StaticPolicy) BuildOpts(app *guide.App) guide.BuildOpts {
 	case Subset:
 		opts.StaticInstrument = true
 		opts.Config = subsetConfig(app)
-	case None, Dynamic:
-		// No compiled-in subroutine instrumentation.
 	}
 	return opts
 }
 
-// run executes one static-policy cell: Dynamic spawns dynprof to
-// instrument the subset at startup; every other policy is a plain
-// instrumented launch.
+// dynamicScript is the Dynamic policy's dynprof script: instrument the
+// subset before the main computation (via insert-file, as Section 4.2
+// describes), start the target and detach.
+const dynamicScript = "insert-file subset.list\nstart\nquit\n"
+
+// run executes one static-policy cell: Dynamic runs the subset script in
+// a dynprof session; every other policy is a plain instrumented launch.
 func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget) (Result, error) {
 	res := Result{App: app.Name, Policy: p.Key(), CPUs: spec.CPUs}
 	switch p {
@@ -138,7 +143,10 @@ func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget) (Result,
 		return res, fmt.Errorf("exp: unknown static policy %q", string(p))
 	}
 	if p == Dynamic {
-		return runDynamic(spec.machine(), app, spec.CPUs, spec.Args, spec.Seed, bud)
+		files := map[string]string{"subset.list": strings.Join(app.Subset, "\n")}
+		return runSession(spec, app, bud, files, func(pr *des.Proc, ss *core.Session) error {
+			return ss.RunScript(pr, strings.NewReader(dynamicScript))
+		})
 	}
 	bin, err := guide.Build(app, p.BuildOpts(app))
 	if err != nil {
@@ -205,11 +213,28 @@ func (a Adaptive) BuildOpts(*guide.App) guide.BuildOpts {
 
 // run executes one adaptive cell through the shared dynprof-session path.
 func (a Adaptive) run(spec RunSpec, app *guide.App, bud des.Budget) (Result, error) {
-	n := a.norm()
-	res, _, err := runAdaptiveSession(spec.machine(), app, spec.CPUs, spec.Args, spec.Seed, bud,
-		adapt.Config{Budget: n.Budget, EpochEvery: n.Epoch})
-	res.Policy = a.Key()
+	res, _, err := a.session(spec, app, bud)
 	return res, err
+}
+
+// session runs spec (whose Policy is a) as a dynprof session with the
+// adapt controller attached before start, and summarises the controller.
+func (a Adaptive) session(spec RunSpec, app *guide.App, bud des.Budget) (Result, adapt.Summary, error) {
+	n := a.norm()
+	var rt *adapt.Runtime
+	res, err := runSession(spec, app, bud, nil, func(p *des.Proc, ss *core.Session) error {
+		var err error
+		if rt, err = adapt.Attach(p, ss, adapt.Config{Budget: n.Budget, EpochEvery: n.Epoch}); err != nil {
+			return err
+		}
+		ss.Start(p)
+		ss.Quit(p)
+		return nil
+	})
+	if err != nil {
+		return res, adapt.Summary{}, err
+	}
+	return res, rt.Summary(), nil
 }
 
 // Result is one measured run.
@@ -232,44 +257,50 @@ func (r Result) elapsed() des.Time     { return r.Elapsed }
 func (r Result) events() uint64        { return 0 }
 func (r Result) faults() []fault.Event { return r.Faults }
 
-// runDynamic measures the Dynamic policy: dynprof spawns the target,
-// instruments the application's subset before the main computation (via
-// insert-file, as Section 4.2 describes) and detaches. An aborted run
-// (budget trip, proc panic) tears the session down host-side.
-func runDynamic(mach *machine.Config, app *guide.App, cpus int, args map[string]int, seed uint64, bud des.Budget) (Result, error) {
-	res := Result{App: app.Name, Policy: Dynamic.Key(), CPUs: cpus}
-	s := des.NewScheduler(seed, des.WithBudget(bud))
-	script := "insert-file subset.list\nstart\nquit\n"
+// runSession is the one dynprof-session driver: every dynamically
+// instrumented cell (the Dynamic policy of Figures 7 and 9, the Section
+// 5.1 hybrid, the adaptive cells) spawns a Proc named dynprof, creates a
+// session over app built with the spec policy's BuildOpts, runs body in
+// it and drives the scheduler to completion. An aborted run (budget trip,
+// proc panic) tears the session down host-side — even one aborted inside
+// NewSession — and still reports the fault stream of a launched job. The
+// result is read before the job's trace collector is released.
+func runSession(spec RunSpec, app *guide.App, bud des.Budget, files map[string]string, body func(*des.Proc, *core.Session) error) (Result, error) {
+	res := Result{App: app.Name, Policy: spec.policy().Key(), CPUs: spec.CPUs}
+	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
 	var ss *core.Session
-	var sessErr error
+	var bodyErr error
 	defer func() {
 		if ss != nil && ss.Job() != nil {
 			ss.Job().Collector().Release()
 		}
 	}()
 	s.Spawn("dynprof", func(p *des.Proc) {
-		ss, sessErr = core.NewSession(p, core.Config{
-			Machine:   mach,
+		_, bodyErr = core.NewSession(p, core.Config{
+			Machine:   spec.machine(),
 			App:       app,
-			Procs:     cpus,
-			Args:      args,
+			BuildOpts: spec.policy().BuildOpts(app),
+			Procs:     spec.CPUs,
+			Args:      spec.Args,
 			CountOnly: true,
-			Files:     map[string]string{"subset.list": strings.Join(app.Subset, "\n")},
+			Files:     files,
+			OnSession: func(x *core.Session) { ss = x },
 		})
-		if sessErr != nil {
-			return
+		if bodyErr == nil {
+			bodyErr = body(p, ss)
 		}
-		sessErr = ss.RunScript(p, strings.NewReader(script))
 	})
 	if err := runScheduler(s); err != nil {
 		if ss != nil {
 			ss.Teardown()
-			res.Faults = ss.Faults()
+			if ss.Job() != nil {
+				res.Faults = ss.Faults()
+			}
 		}
 		return res, err
 	}
-	if sessErr != nil {
-		return res, sessErr
+	if bodyErr != nil {
+		return res, bodyErr
 	}
 	res.Elapsed = ss.Job().MainElapsed()
 	res.CreateAndInstrument = ss.CreateAndInstrumentTime()

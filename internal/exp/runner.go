@@ -274,38 +274,65 @@ func (r *Runner) Figures(ids ...string) ([]*Figure, error) {
 	return r.runPlans(plans)
 }
 
-// runPlans is the scheduling core: dedup the combined work-list against
-// the memo cache, drain it through the worker pool, then assemble every
-// figure (and emit cell events) in deterministic order.
+// runPlans is the scheduling core: execute the combined work-list of
+// plans, then assemble every figure (and emit cell events) in
+// deterministic order.
 func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 	start := time.Now()
+	var specs []cellSpec
+	for _, p := range plans {
+		for _, c := range p.cells {
+			specs = append(specs, c.spec)
+		}
+	}
+	queued, workers, err := r.execute(specs, r.opts.Progress)
+	if err != nil {
+		return nil, err
+	}
+	figs, err := r.assemble(plans, queued)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.met.Wall += time.Since(start)
+	if workers > 0 {
+		r.met.Workers = workers
+	}
+	r.mu.Unlock()
+	return figs, nil
+}
 
+// execute is the Runner's one execution path: it dedups specs against
+// the memo cache, serves what it can from the persistent store, and
+// drains the rest through the bounded pool of supervised workers. Every
+// outcome is cached, failures included; successes are also journaled to
+// the store. It returns the set of keys it executed and the pool size (0
+// when nothing ran). progress, when non-nil, is told of every finished
+// cell.
+func (r *Runner) execute(specs []cellSpec, progress func(done, total, served int)) (queued map[string]bool, workers int, err error) {
 	// Enumerate: one job per spec key that is neither cached, served by
 	// the persistent store, nor already queued in this call.
 	var jobs []cellSpec
-	queued := make(map[string]bool)
-	total, storeHits := 0, 0
+	queued = make(map[string]bool)
+	total, storeHits := len(specs), 0
 	r.mu.Lock()
-	for _, p := range plans {
-		for _, c := range p.cells {
-			total++
-			k := c.spec.Key()
-			if queued[k] {
-				continue
-			}
-			if _, ok := r.cache[k]; ok {
-				continue
-			}
-			if r.opts.Store != nil {
-				if v, ok := r.opts.Store.Get(k); ok {
-					r.cache[k] = &cacheEntry{val: v.(cellResult), stored: true}
-					storeHits++
-					continue
-				}
-			}
-			queued[k] = true
-			jobs = append(jobs, c.spec)
+	for _, spec := range specs {
+		k := spec.Key()
+		if queued[k] {
+			continue
 		}
+		if _, ok := r.cache[k]; ok {
+			continue
+		}
+		if r.opts.Store != nil {
+			if v, ok := r.opts.Store.Get(k); ok {
+				r.cache[k] = &cacheEntry{val: v.(cellResult), stored: true}
+				storeHits++
+				continue
+			}
+		}
+		queued[k] = true
+		jobs = append(jobs, spec)
 	}
 	hits := total - len(jobs) - storeHits
 	r.met.Cells += total
@@ -314,15 +341,12 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 	// Progress reports store hits as cached: neither re-executes.
 	done, served := hits+storeHits, hits+storeHits
 	r.mu.Unlock()
-	if r.opts.Progress != nil && total > 0 {
-		r.opts.Progress(done, total, served)
+	if progress != nil && total > 0 {
+		progress(done, total, served)
 	}
 
 	// Execute: drain unique jobs through the bounded pool.
-	workers := r.parallelism()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers = min(r.parallelism(), len(jobs))
 	var storeErr error
 	if len(jobs) > 0 {
 		jobCh := make(chan cellSpec)
@@ -353,10 +377,9 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 					}
 					done++
 					dn := done
-					prog := r.opts.Progress
 					r.mu.Unlock()
-					if prog != nil {
-						prog(dn, total, served)
+					if progress != nil {
+						progress(dn, total, served)
 					}
 				}
 			}()
@@ -369,10 +392,13 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 	}
 	// A broken store means resume would silently lose results the user
 	// asked to persist: fail the sweep loudly.
-	if storeErr != nil {
-		return nil, storeErr
-	}
+	return queued, workers, storeErr
+}
 
+// assemble builds every figure of plans from the cache in presentation
+// order, emitting one CellEvent per cell; queued is the set of keys
+// executed for these plans.
+func (r *Runner) assemble(plans []*figurePlan, queued map[string]bool) ([]*Figure, error) {
 	// Assemble: walk every plan in presentation order. A failed cell
 	// contributes a NaN point and a CellFailure record instead of
 	// aborting the sweep, so healthy cells keep their byte-identical
@@ -430,68 +456,26 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 		}
 		figs[i] = p.fig
 	}
-
-	r.mu.Lock()
-	r.met.Wall += time.Since(start)
-	if workers > 0 {
-		r.met.Workers = workers
-	}
-	r.mu.Unlock()
 	return figs, nil
 }
 
-// Run executes spec through the Runner's memo cache: a spec whose key has
-// already run (in any prior Run or Figures call) returns the cached
-// result without re-simulating.
+// Run executes spec through the Runner's execution path (memo cache,
+// persistent store, supervision): a spec whose key has already run, in
+// any prior Run or Figures call, returns the cached result without
+// re-simulating. Unlike a figure cell, a failed run is returned as the
+// error; Run emits no cell event and reports no progress.
 func (r *Runner) Run(spec RunSpec) (Result, error) {
-	v, err := r.runMemo(spec)
+	start := time.Now()
+	_, _, err := r.execute([]cellSpec{spec}, nil)
+	r.mu.Lock()
+	r.met.Wall += time.Since(start)
+	e := r.cache[spec.Key()]
+	r.mu.Unlock()
 	if err != nil {
 		return Result{}, err
 	}
-	return v.(Result), nil
-}
-
-// runMemo serves one spec through the cache (then the persistent store),
-// executing it under supervision on a miss. Unlike figure assembly, the
-// single-spec path returns the failure as an error.
-func (r *Runner) runMemo(spec cellSpec) (cellResult, error) {
-	k := spec.Key()
-	r.mu.Lock()
-	r.met.Cells++
-	if e, ok := r.cache[k]; ok {
-		r.met.CacheHits++
-		r.mu.Unlock()
-		return e.val, e.err
+	if e.err != nil {
+		return Result{}, e.err
 	}
-	r.mu.Unlock()
-	if r.opts.Store != nil {
-		if v, ok := r.opts.Store.Get(k); ok {
-			r.mu.Lock()
-			e := &cacheEntry{val: v.(cellResult), stored: true}
-			r.cache[k] = e
-			r.met.StoreHits++
-			r.mu.Unlock()
-			return e.val, nil
-		}
-	}
-	t0 := time.Now()
-	val, err, attempts := superviseCell(spec, r.opts)
-	if err == nil && r.opts.Store != nil {
-		if putErr := r.opts.Store.Put(k, val); putErr != nil {
-			return val, putErr
-		}
-	}
-	e := &cacheEntry{val: val, err: err, wall: time.Since(t0), attempts: attempts}
-	r.mu.Lock()
-	r.cache[k] = e
-	r.met.Runs++
-	r.met.Busy += e.wall
-	r.met.Wall += e.wall
-	r.met.Virtual += e.virt()
-	r.met.Retries += attempts - 1
-	if err != nil {
-		r.met.Failures++
-	}
-	r.mu.Unlock()
-	return val, err
+	return e.val.(Result), nil
 }

@@ -330,7 +330,7 @@ func (s HybridSpec) Key() string {
 		n.WithPoints, n.CPUs, n.Machine.Name, argsKey(n.Args), n.Seed, faultKey(n.Machine))
 }
 
-func (s HybridSpec) runCell(bud des.Budget) (cellResult, error) { return runHybridCell(s, bud) }
+func (s HybridSpec) runCell(bud des.Budget) (cellResult, error) { return runHybrid(s, bud) }
 
 // HybridResult is one measured hybrid run.
 type HybridResult struct {
@@ -350,58 +350,29 @@ func (r HybridResult) faults() []fault.Event { return r.Faults }
 // RunHybrid executes one hybrid cell: dynprof spawns Sppm, optionally
 // plants the confsync safe point, starts the target and detaches.
 func RunHybrid(spec HybridSpec) (HybridResult, error) {
-	return runHybridCell(spec, des.Budget{})
+	return runHybrid(spec, des.Budget{})
 }
 
-// runHybridCell is RunHybrid with a DES budget attached. An aborted run
-// (budget trip, proc panic) tears the dynprof session down host-side so
-// the failure report still carries its fault stream.
-func runHybridCell(spec HybridSpec, bud des.Budget) (HybridResult, error) {
+// runHybrid is RunHybrid with a DES budget attached: a dynprof
+// session over the bare Sppm binary (the Dynamic policy's build).
+func runHybrid(spec HybridSpec, bud des.Budget) (HybridResult, error) {
 	spec = spec.norm()
 	res := HybridResult{CPUs: spec.CPUs}
 	app, err := apps.Get("sppm")
 	if err != nil {
 		return res, err
 	}
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	var ss *core.Session
-	var sessErr error
-	defer func() {
-		if ss != nil && ss.Job() != nil {
-			ss.Job().Collector().Release()
-		}
-	}()
-	s.Spawn("dynprof", func(p *des.Proc) {
-		ss, sessErr = core.NewSession(p, core.Config{
-			Machine:   spec.Machine,
-			App:       app,
-			Procs:     spec.CPUs,
-			Args:      spec.Args,
-			CountOnly: true,
-		})
-		if sessErr != nil {
-			return
-		}
+	run := RunSpec{Policy: Dynamic, CPUs: spec.CPUs, Machine: spec.Machine, Args: spec.Args, Seed: spec.Seed}
+	r, err := runSession(run, app, bud, nil, func(p *des.Proc, ss *core.Session) error {
 		if spec.WithPoints {
-			if sessErr = ss.InsertConfSyncAt(p, "sppm_StepDriver"); sessErr != nil {
-				return
+			if err := ss.InsertConfSyncAt(p, "sppm_StepDriver"); err != nil {
+				return err
 			}
 		}
 		ss.Start(p)
 		ss.Quit(p)
+		return nil
 	})
-	if err := runScheduler(s); err != nil {
-		if ss != nil {
-			ss.Teardown()
-			res.Faults = ss.Faults()
-		}
-		return res, err
-	}
-	if sessErr != nil {
-		return res, sessErr
-	}
-	res.Elapsed = ss.Job().MainElapsed()
-	res.CreateAndInstrument = ss.CreateAndInstrumentTime()
-	res.Faults = ss.Faults()
-	return res, nil
+	res.Elapsed, res.CreateAndInstrument, res.Faults = r.Elapsed, r.CreateAndInstrument, r.Faults
+	return res, err
 }

@@ -161,31 +161,38 @@ func percentile(sorted []des.Time, pct int) des.Time {
 	return sorted[(len(sorted)-1)*pct/100]
 }
 
-// runTenantsCell executes one tenants cell: build the server and its job
-// registry, spawn one Proc per arriving session, and run the whole
-// population (plus shutdown and resident finalization) to completion.
-func runTenantsCell(spec TenantsSpec, bud des.Budget) (TenantsResult, error) {
-	spec = spec.norm()
-	res := TenantsResult{Sessions: spec.Sessions}
-	if spec.Sessions <= 0 {
-		return res, fmt.Errorf("exp: tenants cell needs at least one session, got %d", spec.Sessions)
-	}
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	queue := spec.QueueSlots
-	if queue == 0 {
-		queue = -1
-	}
-	sv := serve.New(s, serve.Config{
-		Machine:      spec.Machine,
-		MaxSessions:  spec.MaxInFlight,
-		MaxQueue:     queue,
-		DefaultQuota: tenantQuota,
-	})
-	jobNames := make([]string, spec.Jobs)
+// population is one multi-tenant session population: a serve.Server over
+// jobs resident jobs (job00, job01, ...) of procs ranks each, and sessions
+// tool sessions arriving evenly over tenantWindow.
+type population struct {
+	seed     uint64
+	server   serve.Config
+	jobs     int
+	procs    int
+	sessions int
+}
+
+// popRun is what a finished population leaves for a figure's reduction.
+type popRun struct {
+	sv      *serve.Server
+	elapsed des.Time
+	events  uint64
+}
+
+// run is the one tenant-population driver: it registers the residents,
+// spawns one Proc per session (named u00000, u00001, ... and staggered
+// over the window) running body with the session's index, user name and
+// job, shuts the server down when the last session ends, and drives the
+// scheduler to completion. The first error a body returns fails the run.
+// The residents' trace collectors are released on return.
+func (pop population) run(bud des.Budget, body func(p *des.Proc, sv *serve.Server, i int, user, job string) error) (popRun, error) {
+	s := des.NewScheduler(pop.seed, des.WithBudget(bud))
+	sv := serve.New(s, pop.server)
+	jobNames := make([]string, pop.jobs)
 	for i := range jobNames {
 		jobNames[i] = fmt.Sprintf("job%02d", i)
-		if _, err := sv.RegisterResident(jobNames[i], spec.ProcsPerJob, nil); err != nil {
-			return res, err
+		if _, err := sv.RegisterResident(jobNames[i], pop.procs, nil); err != nil {
+			return popRun{}, err
 		}
 	}
 	defer func() {
@@ -196,19 +203,11 @@ func runTenantsCell(spec TenantsSpec, bud des.Budget) (TenantsResult, error) {
 		}
 	}()
 
-	var samples []des.Time
 	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	remaining := spec.Sessions
-	for i := 0; i < spec.Sessions; i++ {
-		i := i
+	remaining := pop.sessions
+	for i := 0; i < pop.sessions; i++ {
 		user := fmt.Sprintf("u%05d", i)
 		jobName := jobNames[i%len(jobNames)]
-		abuser := spec.AbusePct > 0 && i%100 < spec.AbusePct
 		s.Spawn(user, func(p *des.Proc) {
 			defer func() {
 				remaining--
@@ -216,55 +215,90 @@ func runTenantsCell(spec TenantsSpec, bud des.Budget) (TenantsResult, error) {
 					sv.Shutdown()
 				}
 			}()
-			p.Advance(des.Time(i) * tenantWindow / des.Time(spec.Sessions))
-			sn, err := sv.Open(p, user, jobName, nil)
-			if err != nil {
-				if errors.Is(err, serve.ErrRejected) {
-					return
-				}
-				fail(fmt.Errorf("exp: tenants open %s: %w", user, err))
-				return
+			p.Advance(des.Time(i) * tenantWindow / des.Time(pop.sessions))
+			if err := body(p, sv, i, user, jobName); err != nil && firstErr == nil {
+				firstErr = err
 			}
-			hot := sn.Job().Hot()
-			if abuser {
-				// Pile up functions until the probe quota evicts us; the
-				// server removes our probes and frees our daemons.
-				for k := 0; k < len(hot); k++ {
-					if sn.Insert(p, hot[k]) != nil {
-						break
-					}
-					p.Advance(tenantThink)
-				}
-				if ev, _ := sn.Evicted(); !ev {
-					fail(fmt.Errorf("exp: tenants abuser %s was not evicted", user))
-				}
-				return
-			}
-			for op := 0; op < spec.Ops; op += 2 {
-				f := hot[(i+op/2)%len(hot)]
-				if err := sn.Insert(p, f); err != nil {
-					fail(fmt.Errorf("exp: tenants %s insert: %w", user, err))
-					return
-				}
-				p.Advance(tenantThink)
-				if err := sn.Remove(p, f); err != nil {
-					fail(fmt.Errorf("exp: tenants %s remove: %w", user, err))
-					return
-				}
-				p.Advance(tenantThink)
-			}
-			samples = append(samples, sn.Latencies()...)
-			res.TraceBytes += sn.TraceBytes()
-			sn.Close(p)
 		})
 	}
 	if err := runScheduler(s); err != nil {
-		return res, err
+		return popRun{}, err
 	}
 	if firstErr != nil {
-		return res, firstErr
+		return popRun{}, firstErr
 	}
-	st := sv.Stats()
+	return popRun{sv: sv, elapsed: s.Now(), events: s.Executed()}, nil
+}
+
+// runTenantsCell executes one tenants cell: every session opens on its
+// job, cycles insert/remove pairs (or, for an abuser, piles up functions
+// until the probe quota evicts it) and closes.
+func runTenantsCell(spec TenantsSpec, bud des.Budget) (TenantsResult, error) {
+	spec = spec.norm()
+	res := TenantsResult{Sessions: spec.Sessions}
+	if spec.Sessions <= 0 {
+		return res, fmt.Errorf("exp: tenants cell needs at least one session, got %d", spec.Sessions)
+	}
+	queue := spec.QueueSlots
+	if queue == 0 {
+		queue = -1
+	}
+	pop := population{
+		seed: spec.Seed,
+		server: serve.Config{
+			Machine:      spec.Machine,
+			MaxSessions:  spec.MaxInFlight,
+			MaxQueue:     queue,
+			DefaultQuota: tenantQuota,
+		},
+		jobs:     spec.Jobs,
+		procs:    spec.ProcsPerJob,
+		sessions: spec.Sessions,
+	}
+	var samples []des.Time
+	run, err := pop.run(bud, func(p *des.Proc, sv *serve.Server, i int, user, job string) error {
+		sn, err := sv.Open(p, user, job, nil)
+		if err != nil {
+			if errors.Is(err, serve.ErrRejected) {
+				return nil
+			}
+			return fmt.Errorf("exp: tenants open %s: %w", user, err)
+		}
+		hot := sn.Job().Hot()
+		if spec.AbusePct > 0 && i%100 < spec.AbusePct {
+			// Pile up functions until the probe quota evicts us; the
+			// server removes our probes and frees our daemons.
+			for k := 0; k < len(hot); k++ {
+				if sn.Insert(p, hot[k]) != nil {
+					break
+				}
+				p.Advance(tenantThink)
+			}
+			if ev, _ := sn.Evicted(); !ev {
+				return fmt.Errorf("exp: tenants abuser %s was not evicted", user)
+			}
+			return nil
+		}
+		for op := 0; op < spec.Ops; op += 2 {
+			f := hot[(i+op/2)%len(hot)]
+			if err := sn.Insert(p, f); err != nil {
+				return fmt.Errorf("exp: tenants %s insert: %w", user, err)
+			}
+			p.Advance(tenantThink)
+			if err := sn.Remove(p, f); err != nil {
+				return fmt.Errorf("exp: tenants %s remove: %w", user, err)
+			}
+			p.Advance(tenantThink)
+		}
+		samples = append(samples, sn.Latencies()...)
+		res.TraceBytes += sn.TraceBytes()
+		sn.Close(p)
+		return nil
+	})
+	if err != nil {
+		return res, err
+	}
+	st := run.sv.Stats()
 	res.Completed = st.Closed
 	res.Evicted = st.Evicted
 	res.Rejected = st.Rejected
@@ -274,8 +308,8 @@ func runTenantsCell(spec TenantsSpec, bud des.Budget) (TenantsResult, error) {
 	res.P50 = percentile(samples, 50)
 	res.P95 = percentile(samples, 95)
 	res.P99 = percentile(samples, 99)
-	res.Elapsed = s.Now()
-	res.Events = s.Executed()
+	res.Elapsed = run.elapsed
+	res.Events = run.events
 	return res, nil
 }
 

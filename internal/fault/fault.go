@@ -114,31 +114,6 @@ func (c DaemonCrash) RestartDelay() des.Time {
 	return c.Restart
 }
 
-// CtrlOutage blacks out the whole DPCL control network for a window of
-// virtual time: every control message (request or acknowledgement) sent
-// during [At, At+Duration) is lost. Deterministic — no probability draw —
-// so outages compose with CtrlLossProb without perturbing its RNG stream.
-type CtrlOutage struct {
-	At       des.Time
-	Duration des.Time
-}
-
-// End reports the first instant after the outage.
-func (o CtrlOutage) End() des.Time { return o.At + o.Duration }
-
-// LinkDrop severs one tool client's link to the session server for a
-// window of virtual time: the serve layer suspends the session under its
-// lease instead of evicting it, and the client resumes by session token
-// when the link returns. User "" matches every client.
-type LinkDrop struct {
-	User     string
-	At       des.Time
-	Duration des.Time
-}
-
-// End reports the first instant after the drop.
-func (l LinkDrop) End() des.Time { return l.At + l.Duration }
-
 // Plan declares every fault injected into one simulated run. The zero
 // value is the fault-free ideal machine; IsZero reports it and every
 // consumer bypasses the fault path entirely for it.
@@ -155,12 +130,6 @@ type Plan struct {
 	// DaemonCrashes kills per-node communication daemons at virtual times;
 	// each is respawned after its restart delay with a new incarnation.
 	DaemonCrashes []DaemonCrash
-	// CtrlOutages blacks out the control network for windows of virtual
-	// time (every control message in the window is lost).
-	CtrlOutages []CtrlOutage
-	// LinkDrops severs tool-client links to the session server for windows
-	// of virtual time; leased sessions suspend and resume instead of dying.
-	LinkDrops []LinkDrop
 	// CtrlLossProb is the probability, per DPCL control message (request
 	// or acknowledgement), that the message is silently lost. Lost
 	// requests are retried by the client with exponential backoff.
@@ -185,7 +154,7 @@ func (pl *Plan) IsZero() bool {
 		return true
 	}
 	return len(pl.Slowdowns) == 0 && len(pl.Stalls) == 0 && len(pl.Crashes) == 0 &&
-		len(pl.DaemonCrashes) == 0 && len(pl.CtrlOutages) == 0 && len(pl.LinkDrops) == 0 &&
+		len(pl.DaemonCrashes) == 0 &&
 		pl.CtrlLossProb == 0 && pl.CtrlDelayFactor == 0 && pl.DetectTimeout == 0 &&
 		pl.TraceBufEvents == 0
 }
@@ -215,16 +184,6 @@ func (pl *Plan) Validate() error {
 	for _, c := range pl.DaemonCrashes {
 		if c.Node < 0 || c.At < 0 || c.Restart < 0 {
 			return fmt.Errorf("fault: daemon crash on node %d at %v (restart %v) is not schedulable", c.Node, c.At, c.Restart)
-		}
-	}
-	for _, o := range pl.CtrlOutages {
-		if o.At < 0 || o.Duration < 0 {
-			return fmt.Errorf("fault: control outage has negative window (at %v for %v)", o.At, o.Duration)
-		}
-	}
-	for _, l := range pl.LinkDrops {
-		if l.At < 0 || l.Duration < 0 {
-			return fmt.Errorf("fault: link drop for %q has negative window (at %v for %v)", l.User, l.At, l.Duration)
 		}
 	}
 	if pl.CtrlLossProb < 0 || pl.CtrlLossProb > 1 {
@@ -289,22 +248,6 @@ func (pl *Plan) CrashesOn(node int) []DaemonCrash {
 
 // HasDaemonCrashes reports whether any daemon crash is planned.
 func (pl *Plan) HasDaemonCrashes() bool { return pl != nil && len(pl.DaemonCrashes) > 0 }
-
-// DropsFor returns the link drops matching a tool user (drops with User ""
-// match everyone), sorted by time.
-func (pl *Plan) DropsFor(user string) []LinkDrop {
-	if pl == nil {
-		return nil
-	}
-	var out []LinkDrop
-	for _, l := range pl.LinkDrops {
-		if l.User == "" || l.User == user {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
 
 // DelayFactor resolves the effective control-delay scale (0 means 1).
 func (pl *Plan) DelayFactor() float64 {
@@ -371,21 +314,6 @@ func (pl *Plan) Key() string {
 	})
 	for _, c := range dcrash {
 		fmt.Fprintf(&b, "dcrash:%d@%d+%d;", c.Node, int64(c.At), int64(c.RestartDelay()))
-	}
-	outages := append([]CtrlOutage(nil), pl.CtrlOutages...)
-	sort.Slice(outages, func(i, j int) bool { return outages[i].At < outages[j].At })
-	for _, o := range outages {
-		fmt.Fprintf(&b, "outage:%d+%d;", int64(o.At), int64(o.Duration))
-	}
-	drops := append([]LinkDrop(nil), pl.LinkDrops...)
-	sort.Slice(drops, func(i, j int) bool {
-		if drops[i].User != drops[j].User {
-			return drops[i].User < drops[j].User
-		}
-		return drops[i].At < drops[j].At
-	})
-	for _, l := range drops {
-		fmt.Fprintf(&b, "drop:%s@%d+%d;", l.User, int64(l.At), int64(l.Duration))
 	}
 	if pl.CtrlLossProb != 0 {
 		fmt.Fprintf(&b, "loss:%g;", pl.CtrlLossProb)

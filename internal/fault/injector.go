@@ -41,9 +41,6 @@ const (
 	// KindCtrlStale notes a request fenced off by a daemon because it
 	// carried a previous incarnation's number.
 	KindCtrlStale Kind = "ctrl-stale"
-	// KindLinkDrop notes a tool client's link to the session server going
-	// down (the session suspends under its lease).
-	KindLinkDrop Kind = "link-drop"
 )
 
 // Event is one observed fault occurrence, suitable for the -jsonl stream.
@@ -121,21 +118,6 @@ func (in *Injector) DropCtrl() bool {
 		return true
 	}
 	return in.rng.Float64() < in.plan.CtrlLossProb
-}
-
-// CtrlLostAt reports whether a control message sent at the given instant
-// falls inside a planned control outage. Deterministic — no RNG draw —
-// and false on the nil injector.
-func (in *Injector) CtrlLostAt(now des.Time) bool {
-	if in == nil {
-		return false
-	}
-	for _, o := range in.plan.CtrlOutages {
-		if now >= o.At && now < o.End() && o.Duration > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ScaleCtrl stretches a control-message latency by the plan's delay

@@ -105,12 +105,3 @@ type App struct {
 	// Empty means the application declares no such point.
 	SyncPoint string
 }
-
-// FuncNames returns the application's function names in table order.
-func (a *App) FuncNames() []string {
-	names := make([]string, len(a.Funcs))
-	for i, f := range a.Funcs {
-		names[i] = f.Name
-	}
-	return names
-}

@@ -99,7 +99,6 @@ func (b *Builder) Build() *Image {
 		symByName:     b.symByName,
 		textEnd:       Addr(len(b.words)),
 		snippets:      make(map[int64]Snippet),
-		snippetNames:  make(map[int64]string),
 		nextSnippetID: b.nextSnippetID,
 		tramps:        make(map[Addr]*baseTramp),
 		progs:         make(map[Addr]*regionProg),

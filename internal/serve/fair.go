@@ -9,8 +9,6 @@
 package serve
 
 import (
-	"sort"
-
 	"dynprof/internal/des"
 )
 
@@ -68,16 +66,6 @@ func (f *FairSched) Served(user string) int { return f.served[user] }
 
 // WaitTime reports user's accumulated virtual queueing delay.
 func (f *FairSched) WaitTime(user string) des.Time { return f.waits[user] }
-
-// Users lists every user that has been served, sorted.
-func (f *FairSched) Users() []string {
-	users := make([]string, 0, len(f.served))
-	for u := range f.served {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	return users
-}
 
 func (f *FairSched) lane(node int) *lane {
 	ln, ok := f.lanes[node]

@@ -34,10 +34,8 @@ type Quota struct {
 	// MaxTraceBytes bounds the trace volume the session's probes generate.
 	MaxTraceBytes int64
 	// MaxCtrlPerSec bounds the session's control-operation rate (token
-	// bucket in virtual time; CtrlBurst tokens of burst).
+	// bucket in virtual time, one token deep).
 	MaxCtrlPerSec float64
-	// CtrlBurst is the token-bucket depth (defaults to 1 when rate-limited).
-	CtrlBurst int
 }
 
 // Config parameterises a Server.
@@ -174,9 +172,6 @@ func (sv *Server) Scheduler() *des.Scheduler { return sv.s }
 
 // System returns the shared DPCL installation.
 func (sv *Server) System() *dpcl.System { return sv.sys }
-
-// Fair returns the daemon-time scheduler.
-func (sv *Server) Fair() *FairSched { return sv.fair }
 
 // Stats returns a copy of the admission/lifecycle counters.
 func (sv *Server) Stats() Stats { return sv.stats }

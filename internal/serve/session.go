@@ -47,9 +47,6 @@ func (sn *Session) User() string { return sn.user }
 // Job returns the registry job the session instruments.
 func (sn *Session) Job() *Job { return sn.jb }
 
-// Core exposes the underlying core session (nil before attach completes).
-func (sn *Session) Core() *core.Session { return sn.ss }
-
 // Evicted reports whether the session has been evicted, and why.
 func (sn *Session) Evicted() (bool, string) { return sn.evicted, sn.evictReason }
 
@@ -96,22 +93,19 @@ func (sn *Session) Latencies() []des.Time { return append([]des.Time(nil), sn.sa
 func (sn *Session) onTrace(events int) { sn.traceEvents += int64(events) }
 
 // takeToken enforces MaxCtrlPerSec: one token per control op, refilled at
-// the quota rate in virtual time. Reports false when the bucket is empty.
+// the quota rate in virtual time into a bucket one token deep. Reports
+// false when the bucket is empty.
 func (sn *Session) takeToken(now des.Time) bool {
 	if sn.quota.MaxCtrlPerSec <= 0 {
 		return true
 	}
-	burst := float64(sn.quota.CtrlBurst)
-	if burst < 1 {
-		burst = 1
-	}
 	if !sn.filled {
-		sn.tokens = burst
+		sn.tokens = 1
 		sn.filled = true
 	} else {
 		sn.tokens += (now - sn.lastRefill).Seconds() * sn.quota.MaxCtrlPerSec
-		if sn.tokens > burst {
-			sn.tokens = burst
+		if sn.tokens > 1 {
+			sn.tokens = 1
 		}
 	}
 	sn.lastRefill = now

@@ -332,9 +332,6 @@ func (c *Ctx) QueueChanges(chs []Change) {
 	c.pending = append(c.pending, chs...)
 }
 
-// PendingChanges reports how many updates are staged.
-func (c *Ctx) PendingChanges() int { return len(c.pending) }
-
 // UnknownFuncError reports configuration changes whose exact (wildcard-free)
 // patterns name no registered function. Such a change could never alter the
 // activation table; silently absorbing it hides controller and tool bugs.

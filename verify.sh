@@ -15,6 +15,10 @@ go test -race -run 'TestParallel|TestCellCache|TestRunner' ./internal/exp/
 # and the persistent result store.
 go test -race -run 'TestSupervised|TestStore|TestFailure|TestRetry' ./internal/exp/
 
+# Fuzz the experiment journal decoder: arbitrary bytes never panic it, and
+# a line that decodes re-encodes to a stable record.
+go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/exp/
+
 # Race pass over the fault injector and the DPCL retry/backoff path,
 # including the crash-recovery machinery (daemon incarnations, ledger
 # replay, give-up rollback).
