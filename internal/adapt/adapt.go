@@ -17,20 +17,20 @@ import (
 	"sort"
 )
 
-// Defaults for Config fields left zero.
+// Fixed controller bounds.
 const (
-	// DefaultHysteresis sets the deadband below the budget: probes are
-	// re-inserted only when overhead falls under Budget×(1−Hysteresis),
+	// hysteresis sets the deadband below the budget: probes are
+	// re-inserted only when overhead falls under Budget×(1−hysteresis),
 	// so the controller does not thrash around the set point.
-	DefaultHysteresis = 0.1
-	// DefaultMaxDeactivate bounds probes shed per epoch.
-	DefaultMaxDeactivate = 8
-	// DefaultMaxReactivate bounds probes re-inserted per epoch; smaller
-	// than the shed bound so recovery is gentler than load-shedding.
-	DefaultMaxReactivate = 2
-	// DefaultCooldownEpochs is how long a shed probe must stay out
-	// before it is eligible for re-insertion.
-	DefaultCooldownEpochs = 2
+	hysteresis = 0.1
+	// maxDeactivate bounds probes shed per epoch.
+	maxDeactivate = 8
+	// maxReactivate bounds probes re-inserted per epoch; smaller than the
+	// shed bound so recovery is gentler than load-shedding.
+	maxReactivate = 2
+	// cooldownEpochs is how long a shed probe must stay out before it is
+	// eligible for re-insertion.
+	cooldownEpochs = 2
 )
 
 // ewmaAlpha weights the newest epoch in the per-probe cost estimate used
@@ -41,17 +41,6 @@ const ewmaAlpha = 0.5
 type Config struct {
 	// Budget is the target removable-overhead fraction, e.g. 0.05.
 	Budget float64
-	// Hysteresis is the deadband width as a fraction of Budget
-	// (0 = DefaultHysteresis).
-	Hysteresis float64
-	// MaxDeactivatePerEpoch bounds probes shed per epoch (0 = default).
-	MaxDeactivatePerEpoch int
-	// MaxReactivatePerEpoch bounds probes re-inserted per epoch
-	// (0 = default).
-	MaxReactivatePerEpoch int
-	// CooldownEpochs is the minimum epochs a probe stays deactivated
-	// before re-insertion (0 = default).
-	CooldownEpochs int
 	// EpochEvery folds this many sync-point crossings into one controller
 	// epoch (0 = 1). Consumed by the attached Runtime; the pure
 	// Controller sees only whole epochs.
@@ -63,34 +52,6 @@ func (c Config) epochEvery() int {
 		return 1
 	}
 	return c.EpochEvery
-}
-
-func (c Config) hysteresis() float64 {
-	if c.Hysteresis == 0 {
-		return DefaultHysteresis
-	}
-	return c.Hysteresis
-}
-
-func (c Config) maxDeactivate() int {
-	if c.MaxDeactivatePerEpoch == 0 {
-		return DefaultMaxDeactivate
-	}
-	return c.MaxDeactivatePerEpoch
-}
-
-func (c Config) maxReactivate() int {
-	if c.MaxReactivatePerEpoch == 0 {
-		return DefaultMaxReactivate
-	}
-	return c.MaxReactivatePerEpoch
-}
-
-func (c Config) cooldown() int {
-	if c.CooldownEpochs == 0 {
-		return DefaultCooldownEpochs
-	}
-	return c.CooldownEpochs
 }
 
 // Probe is one function's cost attribution for a single epoch, aggregated
@@ -169,7 +130,7 @@ func (c *Controller) Epochs() int { return c.epoch }
 // Over budget: shed the highest-cost active probes (cycles descending,
 // name ascending for determinism) until the projected overhead is at or
 // under budget, bounded per epoch. Under the low watermark
-// Budget×(1−Hysteresis): re-insert the cheapest shed probes — by EWMA cost
+// Budget×(1−hysteresis): re-insert the cheapest shed probes — by EWMA cost
 // estimate — while the projection stays under the watermark, bounded and
 // cooldown-gated. In the deadband: hold.
 func (c *Controller) Step(e Epoch) Decision {
@@ -197,7 +158,7 @@ func (c *Controller) Step(e Epoch) Decision {
 	}
 
 	budget := c.cfg.Budget
-	low := budget * (1 - c.cfg.hysteresis())
+	low := budget * (1 - hysteresis)
 	var d Decision
 	switch {
 	case over > budget:
@@ -215,7 +176,7 @@ func (c *Controller) Step(e Epoch) Decision {
 		})
 		projected := over
 		for _, p := range active {
-			if len(d.Deactivate) >= c.cfg.maxDeactivate() || projected <= budget {
+			if len(d.Deactivate) >= maxDeactivate || projected <= budget {
 				break
 			}
 			if p.Cycles == 0 {
@@ -236,7 +197,7 @@ func (c *Controller) Step(e Epoch) Decision {
 			if p.Active || !shed {
 				continue // only re-insert what this controller shed
 			}
-			if c.epoch-shedAt < c.cfg.cooldown() {
+			if c.epoch-shedAt < cooldownEpochs {
 				continue
 			}
 			est := c.cost[p.Name]
@@ -253,7 +214,7 @@ func (c *Controller) Step(e Epoch) Decision {
 		})
 		projected := over
 		for _, cd := range cands {
-			if len(d.Reactivate) >= c.cfg.maxReactivate() {
+			if len(d.Reactivate) >= maxReactivate {
 				break
 			}
 			if projected+cd.est > low {

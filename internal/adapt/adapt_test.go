@@ -92,6 +92,21 @@ func TestControllerSheds(t *testing.T) {
 	}
 }
 
+// TestControllerShedBound: however far over budget, one epoch sheds at
+// most maxDeactivate probes, heaviest first (equal costs: by name).
+func TestControllerShedBound(t *testing.T) {
+	costs := map[string]int64{}
+	for i := 0; i < 10; i++ {
+		costs[fmt.Sprintf("p%02d", i)] = 10_000
+	}
+	p := newPlant(200_000, costs) // 50% overhead against a 5% budget
+	d := NewController(Config{Budget: 0.05}).Step(p.epoch())
+	want := []string{"p00", "p01", "p02", "p03", "p04", "p05", "p06", "p07"}
+	if !reflect.DeepEqual(d.Deactivate, want) {
+		t.Fatalf("shed %v in one epoch, want %v", d.Deactivate, want)
+	}
+}
+
 // TestControllerReactivates: when load disappears, shed probes come back —
 // bounded per epoch, after the cooldown, without breaching the watermark.
 func TestControllerReactivates(t *testing.T) {
@@ -124,7 +139,7 @@ func TestControllerReactivates(t *testing.T) {
 
 	// A probe the watermark can absorb does come back after cooldown.
 	p2 := newPlant(1_000_000, map[string]int64{"a": 60_000, "b": 20_000})
-	c2 := NewController(Config{Budget: 0.05, MaxDeactivatePerEpoch: 1})
+	c2 := NewController(Config{Budget: 0.05})
 	d = c2.Step(p2.epoch()) // 8% → sheds a
 	p2.apply(d)
 	if !reflect.DeepEqual(d.Deactivate, []string{"a"}) {

@@ -6,6 +6,7 @@ import (
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
 	"dynprof/internal/machine"
+	"dynprof/internal/vt"
 )
 
 func runFaultedJob(t *testing.T, bin *Binary, n int, plan *fault.Plan) *Job {
@@ -116,5 +117,67 @@ func TestFaultFreeJobHasNoInjector(t *testing.T) {
 	j := runJob(t, bin, 2)
 	if j.FaultInjector() != nil || len(j.Faults()) != 0 {
 		t.Error("fault-free job carries an injector")
+	}
+}
+
+// TestLaunchWiresOneCtxPerRank: every rank of an MPI job gets its own VT
+// library instance, carrying its rank and its placement node, and every
+// instance feeds the job's one collector.
+func TestLaunchWiresOneCtxPerRank(t *testing.T) {
+	bin, err := Build(toyMPIApp(), BuildOpts{StaticInstrument: true, TraceMPI: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	s := des.NewScheduler(21)
+	mach := machine.MustNew("ibm-power3", machine.WithFaults(&fault.Plan{
+		TraceBufEvents: 4,
+		Overflow:       fault.OverflowDropOldest,
+	}))
+	// Start on node 2 so the 12 ranks span nodes 2 and 3.
+	j, err := Launch(s, mach, bin, LaunchOpts{Procs: n, Node: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*vt.Ctx]bool{}
+	for r := 0; r < n; r++ {
+		v := j.VT(r)
+		if seen[v] {
+			t.Fatalf("rank %d shares a Ctx", r)
+		}
+		seen[v] = true
+		if v.Rank() != r {
+			t.Errorf("rank %d: Ctx.Rank() = %d", r, v.Rank())
+		}
+	}
+	// Each instance overflows its 4-event buffer once and reports the
+	// node it was built with.
+	overflowNode := map[int]int{}
+	for _, ev := range j.Faults() {
+		if ev.Kind == fault.KindOverflow {
+			overflowNode[ev.Rank] = ev.Node
+		}
+	}
+	place := j.Placement()
+	for r := 0; r < n; r++ {
+		node, ok := overflowNode[r]
+		if !ok {
+			t.Errorf("rank %d logged no overflow", r)
+		} else if want := place.NodeOf(r); node != want || want < 2 {
+			t.Errorf("rank %d: overflow on node %d, want placement node %d", r, node, want)
+		}
+	}
+	// Every instance (MPI wrapper events included) lands in the job's
+	// collector.
+	ranks := map[int32]bool{}
+	for _, e := range j.Collector().Events() {
+		ranks[e.Rank] = true
+	}
+	if len(ranks) != n || len(j.Collector().Ranks()) != n {
+		t.Errorf("collector holds events of %d ranks and tables of %d, want %d",
+			len(ranks), len(j.Collector().Ranks()), n)
 	}
 }

@@ -133,27 +133,21 @@ func (j *Job) scheduleFaults() {
 	}
 }
 
-// attachOpts translates the binary's build options and the machine's
-// fault plan into vt.Attach options.
-func (j *Job) attachOpts(mpiJob bool) []vt.AttachOption {
-	opts := []vt.AttachOption{vt.WithCollector(j.col)}
-	if j.bin.opts.Config != nil {
-		opts = append(opts, vt.WithConfig(j.bin.opts.Config))
-	}
-	if j.countOnly {
-		opts = append(opts, vt.WithCountOnly())
-	}
-	if mpiJob && j.bin.opts.TraceMPI {
-		opts = append(opts, vt.WithTraceMPI())
-	}
-	if !mpiJob && j.bin.opts.TraceOMP {
-		opts = append(opts, vt.WithTraceOMP())
+// vtOptions translates the binary's build options and the machine's fault
+// plan into the options of one VT library instance; the caller sets Rank
+// and Node.
+func (j *Job) vtOptions(mpiJob bool) vt.Options {
+	opts := vt.Options{
+		Config:    j.bin.opts.Config,
+		Collector: j.col,
+		TraceMPI:  mpiJob && j.bin.opts.TraceMPI,
+		TraceOMP:  !mpiJob && j.bin.opts.TraceOMP,
+		CountOnly: j.countOnly,
+		Faults:    j.inj,
 	}
 	if j.inj != nil {
-		if plan := j.inj.Plan(); plan.TraceBufEvents > 0 {
-			opts = append(opts, vt.WithBuffer(plan.TraceBufEvents, plan.Overflow))
-		}
-		opts = append(opts, vt.WithFaults(j.inj))
+		plan := j.inj.Plan()
+		opts.BufferEvents, opts.Overflow = plan.TraceBufEvents, plan.Overflow
 	}
 	return opts
 }
@@ -166,17 +160,18 @@ func (j *Job) launchMPI(n int, args map[string]int) error {
 	j.place = place
 	j.world = mpi.NewWorld(j.s, place)
 	j.world.SetFaults(j.inj)
-	att := vt.Attach(j.world, j.attachOpts(true)...)
+	opts := j.vtOptions(true)
 	for r := 0; r < n; r++ {
 		r := r
-		v := att.Ctx(r)
+		opts.Rank, opts.Node = r, place.NodeOf(r)
+		v := vt.NewCtx(opts)
 		j.vts = append(j.vts, v)
 		img := j.bin.loadImage(v)
 		pr := proc.NewProcess(j.s, j.mach, fmt.Sprintf("%s.%d", j.bin.app.Name, r), r, place.NodeOf(r), img)
 		j.procs = append(j.procs, pr)
 		pr.Start(func(th *proc.Thread) {
 			th.Block(func(p *des.Proc) { p.Await(j.startGate) })
-			c := att.Bind(r, th)
+			c := j.world.Register(r, th, &vt.MPIAdapter{C: v})
 			j.bin.app.Main(&Ctx{T: th, MPI: c, VT: v, Args: args})
 		})
 	}
@@ -189,8 +184,7 @@ func (j *Job) launchOMP(threads int, args map[string]int) error {
 		return err
 	}
 	j.place = place
-	att := vt.AttachLocal(0, j.attachOpts(false)...)
-	v := att.Ctx(0)
+	v := vt.NewCtx(j.vtOptions(false))
 	j.vts = append(j.vts, v)
 	img := j.bin.loadImage(v)
 	pr := proc.NewProcess(j.s, j.mach, j.bin.app.Name, 0, 0, img)
@@ -203,7 +197,7 @@ func (j *Job) launchOMP(threads int, args map[string]int) error {
 		master.Call("VT_init", func() { v.Initialize(master) })
 		start := master.Now()
 		suspAtStart := master.SuspendedTime()
-		rt := omp.New(pr, master, threads, att.OMPHooks())
+		rt := omp.New(pr, master, threads, &vt.OMPAdapter{C: v})
 		j.bin.app.Main(&Ctx{T: master, OMP: rt, VT: v, Args: args})
 		rt.Shutdown()
 		master.Sync()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -196,15 +197,17 @@ func (col *Collector) appendCompact(events []Event, frame []byte, recs, reps int
 	}
 }
 
-// decodedCombined reconstructs the full insertion-ordered event stream of
-// a compact collector — spilled prefix plus resident blocks — into the
-// pooled decode scratch, together with the matching segment list, for
-// merge-on-read. On a spill read failure the sticky error is set and only
-// the resident events are returned, like the verbatim path.
-func (col *Collector) decodedCombined() ([]Event, []segRange) {
-	spilled := 0
-	if col.spill != nil {
-		spilled = col.spill.count
+// combined reconstructs the full insertion-ordered event stream — the
+// decoded spill frames, then the resident events (the verbatim arena, or
+// the decoded blocks) — together with the matching segment list, for
+// merge-on-read. A verbatim collector with nothing spilled returns its
+// arena as is; otherwise the stream is built in the pooled decode scratch.
+// On a spill read failure the sticky error is set and only the resident
+// events are returned.
+func (col *Collector) combined() ([]Event, []segRange) {
+	spilled := col.Spilled()
+	if spilled == 0 && !col.compact {
+		return col.store, col.segs
 	}
 	if col.decoded == nil {
 		col.decoded = (*eventBufPool.Get().(*[]Event))[:0]
@@ -218,29 +221,63 @@ func (col *Collector) decodedCombined() ([]Event, []segRange) {
 			buf, spilled = buf[:0], 0
 		}
 	}
-	dec := decoderPool.Get().(*decoder)
-	for _, b := range col.blocks {
-		var err error
-		buf, _, _, err = dec.block(col.carena[b.off:b.end], b.count, buf)
-		if err != nil {
-			// Resident blocks were encoded by this collector: failing to
-			// decode one is memory corruption or an encoder bug, not an
-			// input error.
-			panic(err)
+	if col.compact {
+		dec := decoderPool.Get().(*decoder)
+		for _, b := range col.blocks {
+			var err error
+			buf, _, _, err = dec.block(col.carena[b.off:b.end], b.count, buf)
+			if err != nil {
+				// Resident blocks were encoded by this collector: failing
+				// to decode one is memory corruption or an encoder bug,
+				// not an input error.
+				panic(err)
+			}
 		}
+		decoderPool.Put(dec)
+	} else {
+		buf = append(buf, col.store...)
 	}
-	decoderPool.Put(dec)
 	col.decoded = buf
 	segs := make([]segRange, 0, len(col.segs)+8)
 	if spilled > 0 {
-		for _, seg := range col.spill.segs {
-			segs = append(segs, segRange{start: seg.start, end: seg.end})
-		}
+		segs = append(segs, col.spill.segs...)
 	}
 	for _, seg := range col.segs {
 		segs = append(segs, segRange{start: spilled + seg.start, end: spilled + seg.end})
 	}
 	return buf, segs
+}
+
+// writeFrames writes the resident events to w as compact frames
+// (`uvarint count, uvarint blockLen, block`) and returns the bytes it
+// wrote: a compact collector's blocks as stored, a verbatim arena encoded
+// in encodeChunkEvents chunks. A write error stays in w (bufio errors are
+// sticky) for the caller's Flush to report.
+func (col *Collector) writeFrames(w *bufio.Writer) int {
+	n := 0
+	var hdr [2 * binary.MaxVarintLen64]byte
+	frame := func(count int, block []byte) {
+		h := binary.PutUvarint(hdr[:], uint64(count))
+		h += binary.PutUvarint(hdr[h:], uint64(len(block)))
+		w.Write(hdr[:h])
+		w.Write(block)
+		n += h + len(block)
+	}
+	if col.compact {
+		for _, b := range col.blocks {
+			frame(b.count, col.carena[b.off:b.end])
+		}
+		return n
+	}
+	enc := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(enc)
+	var block []byte
+	for off := 0; off < len(col.store); off += encodeChunkEvents {
+		chunk := col.store[off:min(off+encodeChunkEvents, len(col.store))]
+		block, _, _ = enc.encodeBlock(block[:0], chunk)
+		frame(len(chunk), block)
+	}
+	return n
 }
 
 // encoder turns event batches into compact blocks. The id dictionary is a
@@ -438,7 +475,7 @@ func (d *decoder) block(src []byte, count int, dst []Event) (out []Event, recs, 
 			if !ok {
 				return corrupt("truncated repeat record")
 			}
-			if l == 0 || copies == 0 || len(dst)-blockStart < l || n+int(copies)*l > count {
+			if l == 0 || copies == 0 || len(dst)-blockStart < l || copies > uint64((count-n)/l) {
 				return corrupt("repeat record out of range")
 			}
 			for c := uint64(0); c < copies; c++ {
@@ -533,12 +570,12 @@ func (d *decoder) block(src []byte, count int, dst []Event) (out []Event, recs, 
 //	frame* where frame := uvarint count, uvarint blockLen, block
 const traceMagic = "VGVC"
 
-// WriteCompactTrace writes the trace in the compact binary format. A
-// compact collector's blocks (resident and spilled) are copied without
-// re-encoding; a verbatim collector's arena is encoded in insertion-order
-// chunks. Reading the file back reconstructs a collector whose merged
-// Events view — and therefore every VGV rendering — is byte-identical to
-// the source's.
+// WriteCompactTrace writes the trace in the compact binary format. The
+// spilled prefix is copied as framed and a compact collector's resident
+// blocks without re-encoding; a verbatim collector's resident arena is
+// encoded in insertion-order chunks. Reading the file back reconstructs a
+// collector whose merged Events view — and therefore every VGV rendering
+// — is byte-identical to the source's.
 func (col *Collector) WriteCompactTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(traceMagic)
@@ -566,42 +603,13 @@ func (col *Collector) WriteCompactTrace(w io.Writer) error {
 	}
 
 	writeU(uint64(col.Len()))
-	if col.compact {
-		// The spill file already holds framed blocks: stream its payload.
-		if col.spill != nil && col.spill.count > 0 {
-			if err := col.spill.copyFrames(bw); err != nil {
-				return err
-			}
-		}
-		for _, b := range col.blocks {
-			writeU(uint64(b.count))
-			writeU(uint64(b.end - b.off))
-			bw.Write(col.carena[b.off:b.end])
-		}
-		return bw.Flush()
-	}
-	// Verbatim source: encode the insertion-ordered stream in chunks.
-	store := col.store
-	if col.spill != nil && col.spill.count > 0 {
-		store, _ = col.spill.combined(col)
-		if err := col.spill.err; err != nil {
+	// The spill file already holds framed blocks: stream its payload.
+	if col.Spilled() > 0 {
+		if err := col.spill.copyFrames(bw); err != nil {
 			return err
 		}
 	}
-	enc := encoderPool.Get().(*encoder)
-	defer encoderPool.Put(enc)
-	var frame []byte
-	for off := 0; off < len(store); off += encodeChunkEvents {
-		end := off + encodeChunkEvents
-		if end > len(store) {
-			end = len(store)
-		}
-		frame = frame[:0]
-		frame, _, _ = enc.encodeBlock(frame, store[off:end])
-		writeU(uint64(end - off))
-		writeU(uint64(len(frame)))
-		bw.Write(frame)
-	}
+	col.writeFrames(bw)
 	return bw.Flush()
 }
 
@@ -641,7 +649,7 @@ func ReadCompactTrace(r io.Reader) (*Collector, error) {
 		if err != nil {
 			return corrupt("truncated function count")
 		}
-		table := make(map[int32]string, nFuncs)
+		table := make(map[int32]string, min(nFuncs, 1024))
 		for f := uint64(0); f < nFuncs; f++ {
 			id, err := binary.ReadVarint(br)
 			if err != nil {
@@ -674,14 +682,10 @@ func ReadCompactTrace(r io.Reader) (*Collector, error) {
 			return corrupt("truncated frame header")
 		}
 		blen, err := binary.ReadUvarint(br)
-		if err != nil || count == 0 || decoded+count > total {
+		if err != nil || count == 0 || count > total-decoded || int(count) <= 0 {
 			return corrupt("bad frame header")
 		}
-		if uint64(cap(frame)) < blen {
-			frame = make([]byte, blen)
-		}
-		frame = frame[:blen]
-		if _, err := io.ReadFull(br, frame); err != nil {
+		if frame, err = readFrame(br, frame, blen); err != nil {
 			return corrupt("truncated frame")
 		}
 		scratch = scratch[:0]
@@ -694,6 +698,36 @@ func ReadCompactTrace(r io.Reader) (*Collector, error) {
 		decoded += count
 	}
 	return col, nil
+}
+
+// maxFrameChunk bounds how far readFrame grows its buffer ahead of the
+// bytes actually read.
+const maxFrameChunk = 1 << 20
+
+// readFrame reads an n-byte frame into buf's backing array. A frame over
+// maxFrameChunk is read a chunk at a time, so the buffer grows only as
+// bytes arrive and a hostile length cannot force a large allocation.
+func readFrame(r io.Reader, buf []byte, n uint64) ([]byte, error) {
+	if n <= maxFrameChunk {
+		if uint64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = buf[:0]
+	for rest := n; rest > 0; {
+		k := int(min(rest, maxFrameChunk))
+		buf = slices.Grow(buf, k)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+		rest -= uint64(k)
+	}
+	return buf, nil
 }
 
 // ReadTraceAuto reads a trace in either supported format, sniffing the

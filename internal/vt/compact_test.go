@@ -2,6 +2,7 @@ package vt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -109,6 +110,15 @@ func TestCompactDecoderRejectsCorruption(t *testing.T) {
 	if _, _, _, err := dec.block(bad, 8, nil); !errors.As(err, &fe) {
 		t.Errorf("orphan repeat: got %v, want *FormatError", err)
 	}
+	// One literal, then a repeat claiming 1<<63 copies of it in a block of
+	// 3 events: copies*patternLen wraps in signed arithmetic.
+	huge := append([]byte{tagNewID, 0, 0, tagRepeat | 1}, binary.AppendUvarint(nil, 1<<63)...)
+	if len(huge) != 14 {
+		t.Fatalf("huge-repeat block is %d bytes, want 14", len(huge))
+	}
+	if _, _, _, err := dec.block(huge, 3, nil); !errors.As(err, &fe) {
+		t.Errorf("huge repeat: got %v, want *FormatError", err)
+	}
 }
 
 // TestCompactCollectorMatchesVerbatim drives identical interleaved batches
@@ -179,17 +189,13 @@ func TestCompactSpillEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpillRejectsUnknownVersion corrupts the spill header's version byte
-// under a live collector and requires the read path to surface a typed
-// *FormatError instead of misparsing.
-func TestSpillRejectsUnknownVersion(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		dir := t.TempDir()
-		col := NewCollector()
-		if compact {
-			col = NewCompactCollector()
-		}
-		path := filepath.Join(dir, "trace.spill")
+// TestSpillFileHeader: both collector flavours write the one spill
+// encoding, "VTSP" followed by CompactVersion.
+func TestSpillFileHeader(t *testing.T) {
+	forEachFlavour(t, func(t *testing.T, newCol func() *Collector) {
+		col := newCol()
+		defer col.Release()
+		path := filepath.Join(t.TempDir(), "trace.spill")
 		if err := col.SpillTo(path, 64); err != nil {
 			t.Fatal(err)
 		}
@@ -197,22 +203,53 @@ func TestSpillRejectsUnknownVersion(t *testing.T) {
 		if col.Spilled() == 0 {
 			t.Fatal("no events spilled")
 		}
-		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteAt([]byte{99}, int64(len(spillMagic))); err != nil {
-			t.Fatal(err)
+		if want := spillMagic + string(rune(CompactVersion)); len(raw) < spillHdrBytes || string(raw[:spillHdrBytes]) != want {
+			t.Errorf("spill header %q, want %q", raw[:min(len(raw), spillHdrBytes)], want)
 		}
-		f.Close()
-		col.Events()
-		var fe *FormatError
-		if err := col.SpillErr(); !errors.As(err, &fe) {
-			t.Errorf("compact=%v: got %v, want *FormatError", compact, err)
-		} else if fe.Version != 99 {
-			t.Errorf("compact=%v: reported version %d, want 99", compact, fe.Version)
+	})
+}
+
+// TestSpillRejectsUnknownVersion corrupts the spill header's version byte
+// under a live collector and requires the read path to surface a typed
+// *FormatError instead of misparsing. Version 1, the retired fixed-record
+// encoding, is rejected like any other.
+func TestSpillRejectsUnknownVersion(t *testing.T) {
+	for _, version := range []byte{1, 99} {
+		for _, compact := range []bool{false, true} {
+			dir := t.TempDir()
+			col := NewCollector()
+			if compact {
+				col = NewCompactCollector()
+			}
+			path := filepath.Join(dir, "trace.spill")
+			if err := col.SpillTo(path, 64); err != nil {
+				t.Fatal(err)
+			}
+			fillBatches(col, 10, 50)
+			if col.Spilled() == 0 {
+				t.Fatal("no events spilled")
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte{version}, int64(len(spillMagic))); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			col.Events()
+			var fe *FormatError
+			if err := col.SpillErr(); !errors.As(err, &fe) {
+				t.Errorf("version %d, compact=%v: got %v, want *FormatError", version, compact, err)
+			} else if fe.Version != int(version) {
+				t.Errorf("version %d, compact=%v: reported version %d", version, compact, fe.Version)
+			}
+			col.Release()
 		}
-		col.Release()
 	}
 }
 
@@ -256,37 +293,41 @@ func TestCompactTraceFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompactTraceFileSpilledSource: a binary trace written from a
+// spilling collector — spilled frames copied, then the resident events —
+// reads back to the source's trace, for both collector flavours.
 func TestCompactTraceFileSpilledSource(t *testing.T) {
-	dir := t.TempDir()
-	col := NewCompactCollector()
-	defer col.Release()
-	if err := col.SpillTo(filepath.Join(dir, "t.cspill"), 100); err != nil {
-		t.Fatal(err)
-	}
-	fillBatches(col, 20, 50)
-	if col.Spilled() == 0 {
-		t.Fatal("no events spilled")
-	}
-	var want bytes.Buffer
-	if err := col.WriteTrace(&want); err != nil {
-		t.Fatal(err)
-	}
-	var file bytes.Buffer
-	if err := col.WriteCompactTrace(&file); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCompactTrace(bytes.NewReader(file.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Release()
-	var got bytes.Buffer
-	if err := back.WriteTrace(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("trace read back from a spilled compact source diverges")
-	}
+	forEachFlavour(t, func(t *testing.T, newCol func() *Collector) {
+		col := newCol()
+		defer col.Release()
+		if err := col.SpillTo(filepath.Join(t.TempDir(), "t.spill"), 100); err != nil {
+			t.Fatal(err)
+		}
+		fillBatches(col, 21, 50)
+		if col.Spilled() == 0 || col.Resident() == 0 {
+			t.Fatalf("spilled %d, resident %d: want both non-zero", col.Spilled(), col.Resident())
+		}
+		var want bytes.Buffer
+		if err := col.WriteTrace(&want); err != nil {
+			t.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := col.WriteCompactTrace(&file); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCompactTrace(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer back.Release()
+		var got bytes.Buffer
+		if err := back.WriteTrace(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatal("trace read back from a spilled source diverges")
+		}
+	})
 }
 
 func TestCompactTraceRejectsUnknownVersion(t *testing.T) {
@@ -307,6 +348,43 @@ func TestCompactTraceRejectsUnknownVersion(t *testing.T) {
 	}
 	if _, err := ReadTraceAuto(bytes.NewReader(raw)); !errors.As(err, &fe) {
 		t.Fatalf("ReadTraceAuto: got %v, want *FormatError", err)
+	}
+}
+
+// TestCompactTraceBoundsFrameAllocation: a file that claims a huge frame
+// but ends after the header fails as a truncated frame instead of
+// allocating the claimed length up front; a huge function count does not
+// size a map, and a frame count past the int range is rejected.
+func TestCompactTraceBoundsFrameAllocation(t *testing.T) {
+	for name, claim := range map[string][]byte{
+		"1<<62":    binary.AppendUvarint(nil, 1<<62),
+		"1<<31":    binary.AppendUvarint(nil, 1<<31),
+		"1MiB + 1": binary.AppendUvarint(nil, maxFrameChunk+1),
+	} {
+		raw := append([]byte(traceMagic), CompactVersion)
+		raw = append(raw, 0, 1, 1) // no ranks, one event, frame count 1
+		raw = append(raw, claim...)
+		raw = append(raw, 0x40, 0, 0) // three of the claimed bytes
+		var fe *FormatError
+		if _, err := ReadCompactTrace(bytes.NewReader(raw)); !errors.As(err, &fe) || fe.Detail != "truncated frame" {
+			t.Errorf("blockLen %s: got %v, want *FormatError truncated frame", name, err)
+		}
+	}
+	raw := append([]byte(traceMagic), CompactVersion)
+	raw = append(raw, 1, 0) // one rank, id 0
+	raw = binary.AppendUvarint(raw, 1<<40)
+	var fe *FormatError
+	if _, err := ReadCompactTrace(bytes.NewReader(raw)); !errors.As(err, &fe) {
+		t.Errorf("huge function count: got %v, want *FormatError", err)
+	}
+	// A frame count of 1<<63 is negative as an int: the empty block it
+	// heads must not decode as a frame of no events.
+	raw = append([]byte(traceMagic), CompactVersion, 0)
+	raw = binary.AppendUvarint(raw, 1<<64-1)
+	raw = binary.AppendUvarint(raw, 1<<63)
+	raw = append(raw, 0)
+	if _, err := ReadCompactTrace(bytes.NewReader(raw)); !errors.As(err, &fe) {
+		t.Errorf("frame count 1<<63: got %v, want *FormatError", err)
 	}
 }
 

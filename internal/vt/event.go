@@ -245,19 +245,13 @@ func (col *Collector) residentLen() int {
 // already sorted by (At, insertion index) — times non-decreasing, indices
 // strictly increasing — so a k-way merge keyed on (At, cursor index)
 // reproduces exactly the stable sort of the insertion-ordered stream. A
-// spilling collector first restores the on-disk prefix (see spill.go); the
-// merge then runs over disk and arena segments together. A compact
-// collector first decodes its blocks (and spilled frames) into the pooled
-// scratch — segment boundaries are positions where time decreases, so the
-// decoded stream merges exactly like the verbatim one.
+// spilling or compact collector first rebuilds that stream — decoded
+// spill frames, then the resident events — in the pooled scratch (see
+// combined); segment boundaries are positions where time decreases, so
+// the rebuilt stream merges exactly like the verbatim arena.
 func (col *Collector) rebuildMerged() {
 	col.mergedN = col.residentLen()
-	store, segs := col.store, col.segs
-	if col.compact {
-		store, segs = col.decodedCombined()
-	} else if col.spill != nil && col.spill.count > 0 {
-		store, segs = col.spill.combined(col)
-	}
+	store, segs := col.combined()
 	switch len(segs) {
 	case 0:
 		col.merged = nil

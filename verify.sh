@@ -19,6 +19,13 @@ go test -race -run 'TestSupervised|TestStore|TestFailure|TestRetry' ./internal/e
 # a line that decodes re-encodes to a stable record.
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/exp/
 
+# Fuzz vt's two text parsers: arbitrary text never panics the trace reader
+# (and a trace that parses writes back and re-reads to the same events and
+# function tables) or the config parser (which never holds more rules
+# than directive lines).
+go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/vt/
+go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 10s ./internal/vt/
+
 # Race pass over the fault injector and the DPCL retry/backoff path,
 # including the crash-recovery machinery (daemon incarnations, ledger
 # replay, give-up rollback).
