@@ -51,13 +51,16 @@ func (p *Proc) Recv(m *Mailbox) any {
 		m.queue = m.queue[1:]
 		return v
 	}
-	w := &mboxWaiter{p: p}
+	w := &p.recv
+	w.ready = false
 	m.waiters = append(m.waiters, w)
-	p.park("recv " + m.name)
+	p.park("recv", m.name)
 	if !w.ready {
 		panic("des: mailbox waiter resumed without a value")
 	}
-	return w.value
+	v := w.value
+	w.value = nil
+	return v
 }
 
 // RecvTimeout blocks p until a message is available or d of virtual time
@@ -85,7 +88,7 @@ func (p *Proc) RecvTimeout(m *Mailbox, d Time) (v any, ok bool) {
 		}
 		w.p.wake()
 	})
-	p.park("recv-timeout " + m.name)
+	p.park("recv-timeout", m.name)
 	if w.ready {
 		return w.value, true
 	}

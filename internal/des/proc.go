@@ -1,34 +1,39 @@
+//go:build go1.23
+
 package des
 
 import (
 	"errors"
+	"iter"
 	"runtime/debug"
 )
 
-// errAborted is panicked inside a Proc goroutine when the scheduler tears
-// the simulation down; the Spawn wrapper recovers it so the goroutine exits
+// errAborted is panicked inside a Proc when the scheduler tears the
+// simulation down; the Spawn wrapper recovers it so the coroutine finishes
 // cleanly. It must never escape the des package.
 var errAborted = errors.New("des: proc aborted")
 
-type resumeMsg struct {
-	abort bool
-}
-
-// Proc is a simulated sequential process: a goroutine that runs real Go
+// Proc is a simulated sequential process: a coroutine that runs real Go
 // code but yields to the Scheduler whenever it performs a simulation
 // operation (Advance, Recv, Await, Arrive, ...). The Scheduler resumes at
-// most one Proc at a time.
+// most one Proc at a time, so a Proc may be resumed from different host
+// goroutines (Cluster workers) but never from two at once.
 type Proc struct {
-	s         *Scheduler
-	name      string
-	resume    chan resumeMsg
-	parked    chan struct{}
-	done      bool
-	killed    bool
-	started   bool
-	daemon    bool
-	blockedOn string
-	steps     uint64
+	s       *Scheduler
+	name    string
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool
+	done    bool
+	killed  bool
+	started bool
+	daemon  bool
+	// blockedOp and blockedObj name what the Proc is parked on; they are
+	// joined only into a DeadlockError, so parking allocates nothing.
+	blockedOp, blockedObj string
+	steps                 uint64
+	// recv is the waiter every Recv queues: a Proc waits on at most one
+	// mailbox at a time.
+	recv mboxWaiter
 }
 
 // SetDaemon marks the Proc as a service process: one that legitimately
@@ -41,28 +46,22 @@ func (p *Proc) SetDaemon(v bool) { p.daemon = v }
 // the current virtual time, once Run processes its start event. Spawn may
 // be called before Run or from inside any event or Proc.
 func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		s:      s,
-		name:   name,
-		resume: make(chan resumeMsg),
-		parked: make(chan struct{}),
-	}
-	s.procs = append(s.procs, p)
-	go func() {
+	p := &Proc{s: s, name: name}
+	p.recv.p = p
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil && r != errAborted {
 				s.fatal = &ProcPanicError{Proc: p.name, Value: r, Stack: debug.Stack()}
 			}
 			p.done = true
-			p.parked <- struct{}{}
 		}()
-		msg := <-p.resume
-		p.started = true
-		if msg.abort {
-			panic(errAborted)
+		if p.killed {
+			return
 		}
+		p.yield, p.started = yield, true
 		fn(p)
-	}()
+	})
+	s.procs = append(s.procs, p)
 	s.resumeAfter(0, p)
 	return p
 }
@@ -74,19 +73,25 @@ func (s *Scheduler) step(p *Proc) {
 		return
 	}
 	p.steps++
-	p.resume <- resumeMsg{abort: p.killed}
-	<-p.parked
+	p.next()
+}
+
+// kill resumes p until it finishes, with killed set so that it unwinds
+// out of park; a Proc that never started finishes without running fn.
+func (p *Proc) kill() {
+	p.killed = true
+	for !p.done {
+		p.next()
+	}
 }
 
 // park suspends the calling Proc until the scheduler resumes it. The caller
 // must already have arranged for a wake-up event (or be waiting on a
 // primitive that will deliver one).
-func (p *Proc) park(what string) {
-	p.blockedOn = what
-	p.parked <- struct{}{}
-	msg := <-p.resume
-	p.blockedOn = ""
-	if msg.abort {
+func (p *Proc) park(op, obj string) {
+	p.blockedOp, p.blockedObj = op, obj
+	p.yield(struct{}{})
+	if p.killed {
 		panic(errAborted)
 	}
 }
@@ -111,5 +116,5 @@ func (p *Proc) Advance(d Time) {
 		panic("des: Advance with negative duration")
 	}
 	p.s.resumeAfter(d, p)
-	p.park("advance")
+	p.park("advance", "")
 }

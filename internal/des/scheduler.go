@@ -256,23 +256,15 @@ func (s *Scheduler) popNext() event {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // Kill terminates one Proc immediately, modelling a process crash: the
-// Proc's goroutine unwinds and exits, and it never runs again. Pending
-// wake-ups for the Proc become no-ops. Kill must be called from event
-// context (an At/After callback), where no Proc is mid-step; every live
-// Proc is then parked on its resume channel, so the handshake below
-// cannot deadlock. Killing an already-finished Proc is a no-op.
+// Proc unwinds and never runs again, and a Proc that never started never
+// runs its function. Pending wake-ups for the Proc become no-ops. Kill
+// must be called from event context (an At/After callback), where no Proc
+// is mid-step. Killing an already-finished Proc is a no-op.
 //
 // A killed Proc that was waiting on a Mailbox stays in that mailbox's
 // waiter list; a message later routed to it is consumed and dropped,
 // like a packet sent to a crashed host.
-func (s *Scheduler) Kill(p *Proc) {
-	if p.done {
-		return
-	}
-	p.killed = true
-	p.resume <- resumeMsg{abort: true}
-	<-p.parked
-}
+func (s *Scheduler) Kill(p *Proc) { p.kill() }
 
 // DeadlockError is returned by Run when the event queue drains while some
 // Procs are still blocked: nothing can ever wake them again.
@@ -342,12 +334,7 @@ func (s *Scheduler) DrainUntil(done func() bool) error {
 // non-daemon Procs that were still blocked with nothing left to wake them
 // (unless Stop was called, which makes blocked Procs expected).
 func (s *Scheduler) Finish() error {
-	var blocked []string
-	for _, p := range s.procs {
-		if !p.done && p.started && !p.daemon {
-			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, p.blockedOn))
-		}
-	}
+	blocked := s.blocked(nil)
 	s.abortAll()
 	if s.stopped {
 		return nil
@@ -361,16 +348,23 @@ func (s *Scheduler) Finish() error {
 // Executed reports the number of events executed so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// abortAll resumes every parked proc with the abort flag so its goroutine
-// unwinds and exits. Used on the Stop, deadlock, budget-exhaustion and
-// fatal-panic paths (the last re-raising the Proc's *ProcPanicError after
-// teardown) so the process does not leak goroutines.
+// blocked appends to dst a "name (op obj)" entry for every started,
+// unfinished, non-daemon Proc: the Procs a drained queue leaves stuck.
+func (s *Scheduler) blocked(dst []string) []string {
+	for _, p := range s.procs {
+		if !p.done && p.started && !p.daemon {
+			dst = append(dst, p.name+" ("+strings.TrimSpace(p.blockedOp+" "+p.blockedObj)+")")
+		}
+	}
+	return dst
+}
+
+// abortAll kills every Proc so its coroutine finishes. Used on the Stop,
+// deadlock, budget-exhaustion and fatal-panic paths (the last re-raising
+// the Proc's *ProcPanicError after teardown) so the process does not leak
+// goroutines.
 func (s *Scheduler) abortAll() {
 	for _, p := range s.procs {
-		for !p.done {
-			p.killed = true
-			p.resume <- resumeMsg{abort: true}
-			<-p.parked
-		}
+		p.kill()
 	}
 }

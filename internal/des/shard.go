@@ -270,11 +270,7 @@ func (c *Cluster) Run() error {
 
 	var blocked []string
 	for _, s := range c.shards {
-		for _, p := range s.procs {
-			if !p.done && p.started && !p.daemon {
-				blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, p.blockedOn))
-			}
-		}
+		blocked = s.blocked(blocked)
 	}
 	c.abortAll()
 	if len(blocked) > 0 {

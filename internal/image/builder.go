@@ -101,6 +101,6 @@ func (b *Builder) Build() *Image {
 		snippets:      make(map[int64]Snippet),
 		nextSnippetID: b.nextSnippetID,
 		tramps:        make(map[Addr]*baseTramp),
-		progs:         make(map[Addr]*regionProg),
+		progs:         make([][]*regionProg, len(b.syms)),
 	}
 }

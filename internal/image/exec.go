@@ -38,7 +38,7 @@ type regionProg struct {
 // consumed by the instruction words; snippets charge their own additional
 // cost through ctx.
 func (img *Image) ExecEntry(sym *Symbol, ctx ExecCtx) int64 {
-	return img.exec(sym.Entry, ctx, sym.Name)
+	return img.exec(sym, 0, sym.Entry, ctx)
 }
 
 // ExecExit interprets a function's exit region — the exit probe slot and
@@ -47,25 +47,36 @@ func (img *Image) ExecExit(sym *Symbol, exitIndex int, ctx ExecCtx) int64 {
 	if exitIndex < 0 || exitIndex >= len(sym.Exits) {
 		panic(fmt.Sprintf("image %s: %s has no exit %d", img.name, sym.Name, exitIndex))
 	}
-	return img.exec(sym.Exits[exitIndex], ctx, sym.Name)
+	return img.exec(sym, 1+exitIndex, sym.Exits[exitIndex], ctx)
 }
 
-// exec runs the region starting at `at`, replaying its cached program when
-// one is current and compiling one otherwise. A snippet that patches the
-// image mid-replay (a dynamic-control safe point can suspend the thread
-// while probes are installed) invalidates the program's generation; the
-// remainder of the region is then interpreted from the snippet's resume
-// address, exactly as the plain interpreter would continue.
-func (img *Image) exec(at Addr, ctx ExecCtx, fname string) int64 {
-	p, ok := img.progs[at]
-	if !ok || p.gen != img.gen {
-		return img.walk(at, ctx, fname, &regionProg{gen: img.gen})
+// exec runs region `region` of sym (0 is the entry region, 1+i exit i),
+// which starts at `at`, replaying its cached program when one is current
+// and compiling one otherwise. A snippet that patches the image mid-replay
+// (a dynamic-control safe point can suspend the thread while probes are
+// installed) invalidates the program's generation; the remainder of the
+// region is then interpreted from the snippet's resume address, exactly as
+// the plain interpreter would continue.
+func (img *Image) exec(sym *Symbol, region int, at Addr, ctx ExecCtx) int64 {
+	progs := img.progs[sym.Index]
+	if progs == nil {
+		progs = make([]*regionProg, 1+len(sym.Exits))
+		img.progs[sym.Index] = progs
+	}
+	p := progs[region]
+	if p == nil || p.gen != img.gen {
+		rec := &regionProg{gen: img.gen}
+		cycles := img.walk(at, ctx, sym.Name, rec)
+		if rec.gen == img.gen {
+			progs[region] = rec
+		}
+		return cycles
 	}
 	for i := range p.steps {
 		st := &p.steps[i]
 		st.fn(ctx)
 		if img.gen != p.gen {
-			return st.prefix + img.walk(st.resume, ctx, fname, nil)
+			return st.prefix + img.walk(st.resume, ctx, sym.Name, nil)
 		}
 	}
 	return p.total
@@ -73,11 +84,10 @@ func (img *Image) exec(at Addr, ctx ExecCtx, fname string) int64 {
 
 // walk interprets words starting at `at` until a Body or Ret terminator and
 // returns their cycles. With a non-nil rec it also records the region's
-// program and caches it under `at` on completion; if a snippet mutates the
-// image mid-walk the recording is abandoned and the rest of the region is
-// interpreted without one.
+// program; if a snippet mutates the image mid-walk the recording is
+// abandoned (the image's generation no longer matches rec's) and the rest
+// of the region is interpreted without one.
 func (img *Image) walk(at Addr, ctx ExecCtx, fname string, rec *regionProg) int64 {
-	start := at
 	var cycles int64
 	for step := 0; ; step++ {
 		if step >= maxSteps {
@@ -89,7 +99,6 @@ func (img *Image) walk(at Addr, ctx ExecCtx, fname string, rec *regionProg) int6
 		case isa.Body, isa.Ret:
 			if rec != nil {
 				rec.total = cycles
-				img.progs[start] = rec
 			}
 			return cycles
 		case isa.Jmp:

@@ -90,10 +90,11 @@ type Image struct {
 	heapWords int
 
 	// gen counts image mutations (patches, snippet rebinds); progs caches
-	// the compiled form of each executed probe region, valid only while its
+	// the compiled form of each executed probe region, indexed by symbol
+	// index and then region (entry 0, exit i at 1+i), valid only while its
 	// recorded generation matches gen.
 	gen   uint64
-	progs map[Addr]*regionProg
+	progs [][]*regionProg
 }
 
 // mutated invalidates every compiled region program. Called on any change
@@ -205,7 +206,7 @@ func (img *Image) Clone() *Image {
 		nextSnippetID: img.nextSnippetID,
 		tramps:        make(map[Addr]*baseTramp, len(img.tramps)),
 		heapWords:     img.heapWords,
-		progs:         make(map[Addr]*regionProg),
+		progs:         make([][]*regionProg, len(img.syms)),
 	}
 	for id, fn := range img.snippets {
 		c.snippets[id] = fn

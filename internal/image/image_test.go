@@ -153,20 +153,26 @@ func TestExitProbesPerReturnPoint(t *testing.T) {
 	img := buildTestImage(t)
 	b := img.MustLookup("beta")
 	var hits []int
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ctx ExecCtx) { hits = append(hits, 1) })
+	var id int64
 	for e := 0; e < 3; e++ {
+		id = img.NewSnippetID()
+		img.BindSnippet(id, func(ctx ExecCtx) { hits = append(hits, e) })
 		h, err := img.InsertProbe(b, ExitPoint, e, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.SetActive(true)
 	}
-	for e := 0; e < 3; e++ {
-		img.ExecExit(b, e, &fakeCtx{})
+	// The second pass replays each exit's cached region program, which
+	// must still be that exit's own.
+	for pass := 0; pass < 2; pass++ {
+		img.ExecEntry(b, &fakeCtx{})
+		for e := 0; e < 3; e++ {
+			img.ExecExit(b, e, &fakeCtx{})
+		}
 	}
-	if len(hits) != 3 {
-		t.Fatalf("exit probes fired %d times, want 3", len(hits))
+	if fmt.Sprint(hits) != "[0 1 2 0 1 2]" {
+		t.Fatalf("exit probes fired %v, want [0 1 2 0 1 2]", hits)
 	}
 	if _, err := img.InsertProbe(b, ExitPoint, 7, id); err == nil {
 		t.Error("out-of-range exit accepted")

@@ -31,10 +31,11 @@ go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 10s ./internal/vt/
 # replay, give-up rollback).
 go test -race ./internal/fault/ ./internal/dpcl/
 
-# Race pass over the sharded scheduler (des.Cluster's window workers are
-# real host concurrency) and the scale cells driving it, including the
+# Race pass over the whole scheduler package (des.Cluster's window workers
+# are real host concurrency and resume Proc coroutines from whichever
+# worker runs the shard) and the scale cells driving it, including the
 # spilling trace collectors.
-go test -race -run 'TestCluster|TestSingleShardMatchesSerial|TestCast' ./internal/des/
+go test -race ./internal/des/
 go test -race -run 'TestScale|TestSpill' ./internal/exp/ ./internal/vt/
 
 # Race pass over the Runner's worker pool on the on-demand figures that
