@@ -77,7 +77,7 @@ func myApp() *guide.App {
 
 func main() {
 	app := myApp()
-	for _, policy := range []exp.PolicySpec{exp.None, exp.Full, exp.Dynamic} {
+	for _, policy := range []exp.StaticPolicy{exp.None, exp.Full, exp.Dynamic} {
 		res, err := exp.Run(exp.RunSpec{AppDef: app, Policy: policy, CPUs: 8, Seed: 99})
 		if err != nil {
 			log.Fatal(err)

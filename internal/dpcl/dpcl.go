@@ -268,7 +268,7 @@ func (d *commDaemon) deliver(m any) {
 			return
 		}
 	}
-	at := sys.s.Now() + sys.inj.ScaleCtrl(sys.delay())
+	at := sys.s.Now() + sys.inj.ScaleCtrl(sys.Delay())
 	if at < d.lastArrive {
 		at = d.lastArrive
 	}
@@ -443,7 +443,7 @@ func (d *commDaemon) nackStale(req *request) {
 		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" stale nack lost")
 		return
 	}
-	req.reply.PutAfter(sys.inj.ScaleCtrl(sys.delay()), ack{kind: req.kind, tag: req.tag, stale: true, incarn: d.incarn})
+	req.reply.PutAfter(sys.inj.ScaleCtrl(sys.Delay()), ack{kind: req.kind, tag: req.tag, stale: true, incarn: d.incarn})
 }
 
 // trackSuspend maintains the daemon's suspend balance per target (under
@@ -491,7 +491,7 @@ func (d *commDaemon) ackTo(req *request) {
 		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" ack lost")
 		return
 	}
-	req.reply.PutAfter(sys.inj.ScaleCtrl(sys.delay()), ack{kind: req.kind, tag: req.tag, incarn: d.incarn})
+	req.reply.PutAfter(sys.inj.ScaleCtrl(sys.Delay()), ack{kind: req.kind, tag: req.tag, incarn: d.incarn})
 }
 
 type ack struct {
@@ -510,8 +510,6 @@ type ack struct {
 func (sys *System) Delay() des.Time {
 	return sys.rng.Jitter(sys.mach.DaemonLatency, sys.mach.DaemonJitter)
 }
-
-func (sys *System) delay() des.Time { return sys.Delay() }
 
 // Event is an asynchronous notification delivered to a client: a snippet
 // callback (DPCL_callback) or a breakpoint hit.
@@ -578,7 +576,7 @@ func (cl *Client) Attach(p *des.Proc, procs []*proc.Process) {
 		d, ok := sd.comms[cl.user]
 		if !ok {
 			// Round trip to the super daemon plus daemon creation.
-			p.Advance(cl.sys.delay())
+			p.Advance(cl.sys.Delay())
 			p.Advance(connectTime)
 			d = newCommDaemon(cl.sys, node, cl.user)
 			sd.comms[cl.user] = d

@@ -3,7 +3,9 @@ package exp
 import (
 	"fmt"
 
+	"dynprof/internal/adapt"
 	"dynprof/internal/apps"
+	"dynprof/internal/core"
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
 	"dynprof/internal/machine"
@@ -123,21 +125,11 @@ func (r AdaptResult) elapsed() des.Time     { return r.Elapsed }
 func (r AdaptResult) events() uint64        { return r.Events }
 func (r AdaptResult) faults() []fault.Event { return r.Faults }
 
-// RunAdapt executes one adaptive cell.
-func RunAdapt(spec AdaptSpec) (AdaptResult, error) {
-	return runAdaptCell(spec, des.Budget{})
-}
-
-// runAdaptCell is RunAdapt with a DES budget attached.
+// runAdaptCell executes one adaptive cell under a DES budget.
 func runAdaptCell(spec AdaptSpec, bud des.Budget) (AdaptResult, error) {
 	spec = spec.norm()
 	res := AdaptResult{App: spec.App, Budget: spec.Budget, CPUs: spec.CPUs}
-	app, err := apps.Get(spec.App)
-	if err != nil {
-		return res, err
-	}
-	pol := Adaptive{Budget: spec.Budget, Epoch: spec.Epoch}
-	r, sum, err := pol.session(RunSpec{Policy: pol, CPUs: spec.CPUs, Machine: spec.Machine, Args: spec.Args, Seed: spec.Seed}, app, bud)
+	r, sum, err := adaptSession(spec, bud)
 	res.Faults = r.Faults
 	if err != nil {
 		return res, err
@@ -155,6 +147,31 @@ func runAdaptCell(spec AdaptSpec, bud des.Budget) (AdaptResult, error) {
 	res.Reactivated = sum.Reactivated
 	res.Events = uint64(sum.Recorded)
 	return res, nil
+}
+
+// adaptSession runs a normalised spec as a dynprof session over the Full
+// build (the controller needs probes to shed) with the adapt controller
+// attached before Start, and summarises the controller.
+func adaptSession(spec AdaptSpec, bud des.Budget) (Result, adapt.Summary, error) {
+	app, err := apps.Get(spec.App)
+	if err != nil {
+		return Result{}, adapt.Summary{}, err
+	}
+	run := RunSpec{Policy: Full, CPUs: spec.CPUs, Machine: spec.Machine, Args: spec.Args, Seed: spec.Seed}
+	var rt *adapt.Runtime
+	res, err := runSession(run, app, bud, nil, func(p *des.Proc, ss *core.Session) error {
+		var err error
+		if rt, err = adapt.Attach(p, ss, adapt.Config{Budget: spec.Budget, EpochEvery: spec.Epoch}); err != nil {
+			return err
+		}
+		ss.Start(p)
+		ss.Quit(p)
+		return nil
+	})
+	if err != nil {
+		return res, adapt.Summary{}, err
+	}
+	return res, rt.Summary(), nil
 }
 
 // planAdapt enumerates the adapt figure: for each kernel, the achieved

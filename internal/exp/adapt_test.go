@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"dynprof/internal/des"
 )
 
 // TestAdaptConvergence: on fully instrumented smg98 with a 5%% budget, the
 // achieved removable overhead must land within ±1 percentage point of the
 // budget, with a nonzero retained-event fraction.
 func TestAdaptConvergence(t *testing.T) {
-	res, err := RunAdapt(AdaptSpec{App: "smg98", Budget: 0.05, Seed: DefaultSeed})
+	res, err := runAdaptCell(AdaptSpec{App: "smg98", Budget: 0.05, Seed: DefaultSeed}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func TestAdaptAllKernels(t *testing.T) {
 		t.Skip("four-kernel adapt sweep skipped in -short mode")
 	}
 	for _, app := range []string{"smg98", "sppm", "sweep3d", "umt98"} {
-		res, err := RunAdapt(AdaptSpec{App: app, Budget: 0.05, Seed: DefaultSeed})
+		res, err := runAdaptCell(AdaptSpec{App: app, Budget: 0.05, Seed: DefaultSeed}, des.Budget{})
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
@@ -62,30 +64,21 @@ func TestAdaptSpecKey(t *testing.T) {
 	}
 }
 
-// TestPolicySpecKeys: the api_redesign invariant — static policy keys are
-// the Table 3 names byte-for-byte, so RunSpec keys (and journals) minted
-// before the PolicySpec interface still match; nil Policy means Full; the
-// Adaptive key carries its parameters.
+// TestPolicySpecKeys: static policy keys are the Table 3 names
+// byte-for-byte, so RunSpec keys (and journals) keep their identities,
+// and the zero Policy means Full.
 func TestPolicySpecKeys(t *testing.T) {
 	for p, want := range map[StaticPolicy]string{
 		Full: "Full", FullOff: "Full-Off", Subset: "Subset", None: "None", Dynamic: "Dynamic",
 	} {
-		if p.Key() != want || p.String() != want {
-			t.Errorf("policy %q: Key=%q String=%q, want %q", string(p), p.Key(), p.String(), want)
+		if p.String() != want {
+			t.Errorf("policy %q: String=%q, want %q", string(p), p.String(), want)
 		}
 	}
-	withNil := RunSpec{App: "smg98", CPUs: 4}
+	withZero := RunSpec{App: "smg98", CPUs: 4}
 	withFull := RunSpec{App: "smg98", Policy: Full, CPUs: 4}
-	if withNil.Key() != withFull.Key() {
-		t.Errorf("nil-policy key %q != Full key %q", withNil.Key(), withFull.Key())
-	}
-	a := Adaptive{Budget: 0.05}
-	if a.Key() != "Adaptive(budget=0.05,epoch=1)" {
-		t.Errorf("Adaptive key = %q", a.Key())
-	}
-	b := RunSpec{App: "smg98", Policy: Adaptive{Budget: 0.05}, CPUs: 4}
-	if b.Key() == withFull.Key() {
-		t.Errorf("adaptive spec key must differ from static: %q", b.Key())
+	if withZero.Key() != withFull.Key() {
+		t.Errorf("zero-policy key %q != Full key %q", withZero.Key(), withFull.Key())
 	}
 }
 
@@ -93,7 +86,7 @@ func TestPolicySpecKeys(t *testing.T) {
 // naming an unknown function is rejected atomically with a typed error
 // instead of being silently absorbed.
 func TestApplyChangesUnknownFunc(t *testing.T) {
-	res, err := RunAdapt(AdaptSpec{App: "smg98", Budget: 0.05, Seed: DefaultSeed})
+	res, err := runAdaptCell(AdaptSpec{App: "smg98", Budget: 0.05, Seed: DefaultSeed}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

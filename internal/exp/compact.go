@@ -99,42 +99,19 @@ func (r CompactResult) BytesPerEvent() float64 {
 	return float64(r.TraceBytes) / float64(r.TraceEvents)
 }
 
-// RunCompact executes one compact cell without a budget.
-func RunCompact(spec CompactSpec) (CompactResult, error) {
-	return runCompactCell(spec, des.Budget{})
-}
-
 // runCompactCell runs one kernel at Full instrumentation into the
 // requested collector flavour and measures the trace volume.
 func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 	spec = spec.norm()
 	res := CompactResult{App: spec.App, Compact: spec.Compact}
-	app, err := apps.Get(spec.App)
+	col, elapsed, err := compactTrace(spec, bud)
+	if col != nil {
+		defer col.Release()
+	}
 	if err != nil {
 		return res, err
 	}
-	bin, err := guide.Build(app, Full.BuildOpts(app))
-	if err != nil {
-		return res, err
-	}
-	col := vt.NewCollector()
-	if spec.Compact {
-		col = vt.NewCompactCollector()
-	}
-	defer col.Release()
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	j, err := guide.Launch(s, spec.Machine, bin, guide.LaunchOpts{
-		Procs:     spec.Procs,
-		Args:      spec.Args,
-		Collector: col,
-	})
-	if err != nil {
-		return res, err
-	}
-	if err := runScheduler(s); err != nil {
-		return res, err
-	}
-	res.Elapsed = j.MainElapsed()
+	res.Elapsed = elapsed
 	res.TraceEvents = col.Len()
 	res.TraceBytes = col.Bytes()
 	if spec.Compact {
@@ -143,6 +120,38 @@ func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 		res.Repeats = st.Repeats
 	}
 	return res, nil
+}
+
+// compactTrace runs a normalised spec's kernel at Full instrumentation and
+// returns its trace collector, which the caller releases, with the main
+// computation's elapsed time. The collector is nil only when the run
+// never launched.
+func compactTrace(spec CompactSpec, bud des.Budget) (*vt.Collector, des.Time, error) {
+	app, err := apps.Get(spec.App)
+	if err != nil {
+		return nil, 0, err
+	}
+	bin, err := guide.Build(app, Full.BuildOpts(app))
+	if err != nil {
+		return nil, 0, err
+	}
+	col := vt.NewCollector()
+	if spec.Compact {
+		col = vt.NewCompactCollector()
+	}
+	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
+	j, err := guide.Launch(s, spec.Machine, bin, guide.LaunchOpts{
+		Procs:     spec.Procs,
+		Args:      spec.Args,
+		Collector: col,
+	})
+	if err != nil {
+		return col, 0, err
+	}
+	if err := runScheduler(s); err != nil {
+		return col, 0, err
+	}
+	return col, j.MainElapsed(), nil
 }
 
 // planCompact enumerates the compact figure: bytes per trace event for the

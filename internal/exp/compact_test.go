@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,11 +31,11 @@ func TestCompactSpecKey(t *testing.T) {
 // contract: identical simulation (elapsed, event count), a >= 5x smaller
 // trace, and repeat records actually firing.
 func TestCompactCell(t *testing.T) {
-	verbatim, err := RunCompact(CompactSpec{App: "sweep3d"})
+	verbatim, err := runCompactCell(CompactSpec{App: "sweep3d"}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := RunCompact(CompactSpec{App: "sweep3d", Compact: true})
+	compact, err := runCompactCell(CompactSpec{App: "sweep3d", Compact: true}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +57,46 @@ func TestCompactCell(t *testing.T) {
 	if ratio < 5 {
 		t.Errorf("suppression ratio %.2fx on sweep3d, want >= 5x (%.2f vs %.2f bytes/event)",
 			ratio, verbatim.BytesPerEvent(), compact.BytesPerEvent())
+	}
+}
+
+// vtTestdata is where the recorded kernel streams the vt collector
+// microbenchmarks replay live.
+const vtTestdata = "../vt/testdata"
+
+// TestVTTestdataStreams records the compact figure's Full-instrumentation
+// cells as VGVC traces, one per kernel: every frame is one rank's flush
+// batch, so the vt microbenchmarks replay real kernel traffic. The
+// checked-in files must match the simulation byte for byte; -update
+// rewrites them.
+func TestVTTestdataStreams(t *testing.T) {
+	for _, app := range compactApps {
+		spec := CompactSpec{App: app, Compact: true, Seed: DefaultSeed}.norm()
+		col, _, err := compactTrace(spec, des.Budget{})
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		var buf bytes.Buffer
+		err = col.WriteCompactTrace(&buf)
+		col.Release()
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		path := filepath.Join(vtTestdata, app+".vgvc")
+		if *updateGolden {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate with go test ./internal/exp -run TestVTTestdataStreams -update)", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: recorded stream drifted from the simulation (%d vs %d bytes); regenerate with -update",
+				path, buf.Len(), len(want))
+		}
 	}
 }
 

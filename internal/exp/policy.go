@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dynprof/internal/adapt"
 	"dynprof/internal/core"
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
@@ -16,28 +15,9 @@ import (
 	"dynprof/internal/vt"
 )
 
-// PolicySpec is a first-class instrumentation policy: what Table 3 lists
-// as a closed enumeration is an open interface, so a policy can carry
-// parameters (Adaptive's budget) and its own execution strategy. The
-// interface is sealed — run is unexported because cell execution belongs
-// to the harness — but every policy is addressable by its canonical Key,
-// which feeds RunSpec.Key and the result journal exactly as the static
-// names always did.
-type PolicySpec interface {
-	// Key canonicalises the policy: two policies with equal keys describe
-	// the same deterministic run. Static policies use their Table 3 names
-	// ("Full", "Full-Off", ...), so pre-existing spec keys are unchanged.
-	Key() string
-	// Description reproduces (or extends) Table 3's description column.
-	Description() string
-	// BuildOpts maps the policy to its compile-time configuration.
-	BuildOpts(app *guide.App) guide.BuildOpts
-	// run executes one experiment cell under this policy.
-	run(spec RunSpec, app *guide.App, bud des.Budget) (Result, error)
-}
-
 // StaticPolicy is one of Table 3's five static instrumentation policies:
-// the configuration is fixed before the run and never changes.
+// the configuration is fixed before the run and never changes. The name
+// is also the policy's fragment of a RunSpec key.
 type StaticPolicy string
 
 // The instrumentation policies of Table 3.
@@ -59,10 +39,6 @@ const (
 
 // String names the policy as Table 3 does.
 func (p StaticPolicy) String() string { return string(p) }
-
-// Key canonicalises the policy for spec keys; identical to the Table 3
-// name, so keys minted before the PolicySpec interface still match.
-func (p StaticPolicy) Key() string { return string(p) }
 
 // Description reproduces Table 3's description column.
 func (p StaticPolicy) Description() string {
@@ -136,7 +112,7 @@ const dynamicScript = "insert-file subset.list\nstart\nquit\n"
 // run executes one static-policy cell: Dynamic runs the subset script in
 // a dynprof session; every other policy is a plain instrumented launch.
 func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget) (Result, error) {
-	res := Result{App: app.Name, Policy: p.Key(), CPUs: spec.CPUs}
+	res := Result{App: app.Name, Policy: p.String(), CPUs: spec.CPUs}
 	switch p {
 	case Full, FullOff, Subset, None, Dynamic:
 	default:
@@ -171,76 +147,10 @@ func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget) (Result,
 	return res, nil
 }
 
-// Adaptive is the feedback policy the paper could only gesture at: the
-// target is fully instrumented, a sync point is dynamically inserted at
-// the application's declared safe point, and the internal/adapt controller
-// deactivates (and re-inserts) probes every epoch to hold the removable
-// instrumentation overhead at Budget.
-type Adaptive struct {
-	// Budget is the target removable-overhead fraction (e.g. 0.05).
-	Budget float64
-	// Epoch is the number of sync-point crossings folded into one
-	// controller epoch (0 = 1).
-	Epoch int
-}
-
-func (a Adaptive) norm() Adaptive {
-	if a.Epoch == 0 {
-		a.Epoch = 1
-	}
-	return a
-}
-
-// Key canonicalises the policy, parameters included: two Adaptive values
-// with the same budget and epoch length share cells.
-func (a Adaptive) Key() string {
-	n := a.norm()
-	return fmt.Sprintf("Adaptive(budget=%g,epoch=%d)", n.Budget, n.Epoch)
-}
-
-// String names the policy for labels and logs.
-func (a Adaptive) String() string { return a.Key() }
-
-// Description extends Table 3's column.
-func (a Adaptive) Description() string {
-	return fmt.Sprintf("All functions are statically instrumented; a feedback controller deactivates the most expensive probes each sync epoch to hold overhead at %.0f%%.", a.Budget*100)
-}
-
-// BuildOpts instruments everything: the controller needs probes to shed.
-func (a Adaptive) BuildOpts(*guide.App) guide.BuildOpts {
-	return guide.BuildOpts{TraceMPI: true, TraceOMP: true, StaticInstrument: true}
-}
-
-// run executes one adaptive cell through the shared dynprof-session path.
-func (a Adaptive) run(spec RunSpec, app *guide.App, bud des.Budget) (Result, error) {
-	res, _, err := a.session(spec, app, bud)
-	return res, err
-}
-
-// session runs spec (whose Policy is a) as a dynprof session with the
-// adapt controller attached before start, and summarises the controller.
-func (a Adaptive) session(spec RunSpec, app *guide.App, bud des.Budget) (Result, adapt.Summary, error) {
-	n := a.norm()
-	var rt *adapt.Runtime
-	res, err := runSession(spec, app, bud, nil, func(p *des.Proc, ss *core.Session) error {
-		var err error
-		if rt, err = adapt.Attach(p, ss, adapt.Config{Budget: n.Budget, EpochEvery: n.Epoch}); err != nil {
-			return err
-		}
-		ss.Start(p)
-		ss.Quit(p)
-		return nil
-	})
-	if err != nil {
-		return res, adapt.Summary{}, err
-	}
-	return res, rt.Summary(), nil
-}
-
 // Result is one measured run.
 type Result struct {
 	App string
-	// Policy is the canonical policy key (PolicySpec.Key), e.g. "Full".
+	// Policy is the Table 3 policy name, e.g. "Full".
 	Policy  string
 	CPUs    int
 	Elapsed des.Time
@@ -266,7 +176,7 @@ func (r Result) faults() []fault.Event { return r.Faults }
 // NewSession — and still reports the fault stream of a launched job. The
 // result is read before the job's trace collector is released.
 func runSession(spec RunSpec, app *guide.App, bud des.Budget, files map[string]string, body func(*des.Proc, *core.Session) error) (Result, error) {
-	res := Result{App: app.Name, Policy: spec.policy().Key(), CPUs: spec.CPUs}
+	res := Result{App: app.Name, Policy: spec.policy().String(), CPUs: spec.CPUs}
 	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
 	var ss *core.Session
 	var bodyErr error

@@ -170,11 +170,6 @@ func (r RecoverResult) elapsed() des.Time     { return r.Elapsed }
 func (r RecoverResult) events() uint64        { return r.Events }
 func (r RecoverResult) faults() []fault.Event { return r.Faults }
 
-// RunRecover executes one recover cell without a budget.
-func RunRecover(spec RecoverSpec) (RecoverResult, error) {
-	return runRecoverCell(spec, des.Budget{})
-}
-
 // recoverRun is one execution of the workload (faulted or fault-free).
 type recoverRun struct {
 	popRun

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dynprof/internal/des"
 	"dynprof/internal/machine"
 )
 
@@ -211,18 +212,52 @@ func TestSpecKeys(t *testing.T) {
 	}
 }
 
+// TestSpecKeyLiterals pins the exact key of a default spec of each kind.
+// Keys are journal identities: a change here orphans every result store
+// written before it, so it must show up as a reviewed diff.
+func TestSpecKeyLiterals(t *testing.T) {
+	const ibm = "IBM Power3 SMP cluster (Colony)"
+	for _, tc := range []struct {
+		spec cellSpec
+		want string
+	}{
+		{RunSpec{App: "smg98", CPUs: 4, Seed: DefaultSeed},
+			"run|smg98|Full|cpus=4|" + ibm + "|args{}|seed=2003"},
+		{RunSpec{App: "smg98", Policy: Dynamic, CPUs: 4, Seed: DefaultSeed},
+			"run|smg98|Dynamic|cpus=4|" + ibm + "|args{}|seed=2003"},
+		{ConfSyncSpec{CPUs: 8, Seed: DefaultSeed},
+			"confsync|cpus=8|reps=16|nfuncs=64|changes=0|stats=false|" + ibm + "|seed=2003"},
+		{HybridSpec{Seed: DefaultSeed},
+			"hybrid|points=false|cpus=4|" + ibm + "|args{nx=8 ny=8 nz=8 steps=6}|seed=2003"},
+		{ScaleSpec{App: "smg98", Ranks: 64, Seed: DefaultSeed},
+			"scale|smg98|ranks=64|shards=8|iters=4|" + ibm + "|seed=2003"},
+		{TenantsSpec{Sessions: 100, Seed: DefaultSeed},
+			"tenants|sessions=100|jobs=16|procs=4|ops=4|inflight=64|queue=0|abuse=2|" + ibm + "|seed=2003"},
+		{AdaptSpec{App: "smg98", Seed: DefaultSeed},
+			"adapt|smg98|budget=0.05|epoch=1|cpus=4|" + ibm + "|args{iters=24 nx=10 ny=10 nz=10 tolexp=12}|seed=2003"},
+		{RecoverSpec{Seed: DefaultSeed},
+			"recover|mtbf=5000000000|sessions=64|jobs=32|procs=4|ops=4|drop=5|horizon=30000000000|" + ibm + "|seed=2003"},
+		{CompactSpec{App: "smg98", Seed: DefaultSeed},
+			"compact|smg98|procs=4|compact=false|" + ibm + "|seed=2003|args{iters=1 nx=6 ny=6 nz=8}"},
+	} {
+		if got := tc.spec.Key(); got != tc.want {
+			t.Errorf("%T key drifted:\n got %q\nwant %q", tc.spec, got, tc.want)
+		}
+	}
+}
+
 // TestConfSyncSpecDefaults: the zero spec resolves to the documented
 // canonical arguments (16 reps against a 64-entry function table on the
 // IBM machine) — spelling them out explicitly must not change the run.
 func TestConfSyncSpecDefaults(t *testing.T) {
-	viaSpec, err := RunConfSync(ConfSyncSpec{CPUs: 4})
+	viaSpec, err := runConfSyncCell(ConfSyncSpec{CPUs: 4}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := RunConfSync(ConfSyncSpec{
+	explicit, err := runConfSyncCell(ConfSyncSpec{
 		CPUs: 4, Reps: DefaultConfSyncReps, NFuncs: DefaultConfSyncFuncs,
 		Machine: machine.MustNew("ibm-power3"), Seed: DefaultSeed,
-	})
+	}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,9 +152,6 @@ func (r ScaleResult) elapsed() des.Time     { return r.Elapsed }
 func (r ScaleResult) events() uint64        { return r.Events }
 func (r ScaleResult) faults() []fault.Event { return nil }
 
-// RunScale executes one scale cell without a budget.
-func RunScale(spec ScaleSpec) (ScaleResult, error) { return runScaleCell(spec, des.Budget{}) }
-
 // scaleThread implements image.ExecCtx for a skeleton rank: one logical
 // thread whose instrumentation charges advance its Proc's virtual clock
 // directly.

@@ -4,6 +4,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"dynprof/internal/des"
 )
 
 // scaleTestRanks keeps unit-test cells small; the sweep sizes live in
@@ -18,7 +20,7 @@ func TestScaleShardCountInvariant(t *testing.T) {
 	for _, app := range scaleApps {
 		var base ScaleResult
 		for i, shards := range []int{1, 4, 8} {
-			got, err := RunScale(ScaleSpec{App: app, Ranks: scaleTestRanks, Shards: shards})
+			got, err := runScaleCell(ScaleSpec{App: app, Ranks: scaleTestRanks, Shards: shards}, des.Budget{})
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", app, shards, err)
 			}
@@ -42,13 +44,13 @@ func TestScaleShardCountInvariant(t *testing.T) {
 func TestScaleDeterministicAcrossHostParallelism(t *testing.T) {
 	spec := ScaleSpec{App: "smg98", Ranks: scaleTestRanks, Shards: 8, Seed: 7}
 	spec.HostParallelism = 1
-	serial, err := RunScale(spec)
+	serial, err := runScaleCell(spec, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
 		spec.HostParallelism = workers
-		got, err := RunScale(spec)
+		got, err := runScaleCell(spec, des.Budget{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -63,15 +65,15 @@ func TestScaleDeterministicAcrossHostParallelism(t *testing.T) {
 // actually went to disk, and (c) the spill files are cleaned up with the
 // collectors.
 func TestScaleSpill(t *testing.T) {
-	plain, err := RunScale(ScaleSpec{App: "smg98", Ranks: scaleTestRanks, Shards: 4})
+	plain, err := runScaleCell(ScaleSpec{App: "smg98", Ranks: scaleTestRanks, Shards: 4}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	spilled, err := RunScale(ScaleSpec{
+	spilled, err := runScaleCell(ScaleSpec{
 		App: "smg98", Ranks: scaleTestRanks, Shards: 4,
 		SpillDir: dir, SpillThreshold: 64,
-	})
+	}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestScaleStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := ScaleSpec{App: "sweep3d", Ranks: 64}
-	res, err := RunScale(spec)
+	res, err := runScaleCell(spec, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +150,10 @@ func TestScaleSpecKeyDefaults(t *testing.T) {
 }
 
 func TestScaleValidates(t *testing.T) {
-	if _, err := RunScale(ScaleSpec{App: "nosuch", Ranks: 64}); err == nil {
+	if _, err := runScaleCell(ScaleSpec{App: "nosuch", Ranks: 64}, des.Budget{}); err == nil {
 		t.Error("unknown app must fail")
 	}
-	if _, err := RunScale(ScaleSpec{App: "smg98"}); err == nil {
+	if _, err := runScaleCell(ScaleSpec{App: "smg98"}, des.Budget{}); err == nil {
 		t.Error("zero ranks must fail")
 	}
 }

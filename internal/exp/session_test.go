@@ -48,12 +48,11 @@ func TestSupervisedSessionDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := RunHybrid(sessionCells()[1].(HybridSpec))
+	hyb, err := runHybridCell(sessionCells()[1].(HybridSpec), des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad := sessionCells()[2].(AdaptSpec).norm()
-	adp, err := Run(RunSpec{App: ad.App, Policy: Adaptive{Budget: ad.Budget}, CPUs: ad.CPUs, Args: ad.Args, Seed: ad.Seed})
+	adp, _, err := adaptSession(sessionCells()[2].(AdaptSpec).norm(), des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,10 +76,8 @@ type RunSpec struct {
 	// of a registry lookup. Its Name feeds the spec key, so distinct
 	// custom apps must use distinct names for correct memoization.
 	AppDef *guide.App
-	// Policy is the instrumentation policy: a Table 3 static policy
-	// (Full, FullOff, ...) or any other PolicySpec such as Adaptive.
-	// nil selects Full, preserving the zero value's old meaning.
-	Policy PolicySpec
+	// Policy is the Table 3 instrumentation policy ("" = Full).
+	Policy StaticPolicy
 	// CPUs is the number of MPI ranks (or OpenMP threads).
 	CPUs int
 	// Machine is the simulated platform (nil = the IBM Power3 cluster).
@@ -108,9 +106,9 @@ func (s RunSpec) machine() *machine.Config {
 	return machine.MustNew("ibm-power3")
 }
 
-// policy resolves the instrumentation policy (nil = Full).
-func (s RunSpec) policy() PolicySpec {
-	if s.Policy == nil {
+// policy resolves the instrumentation policy ("" = Full).
+func (s RunSpec) policy() StaticPolicy {
+	if s.Policy == "" {
 		return Full
 	}
 	return s.Policy
@@ -124,7 +122,7 @@ func (s RunSpec) Key() string {
 		name = s.AppDef.Name
 	}
 	return fmt.Sprintf("run|%s|%s|cpus=%d|%s|%s|seed=%d%s",
-		name, s.policy().Key(), s.CPUs, s.machine().Name, argsKey(s.Args), s.Seed, faultKey(s.machine()))
+		name, s.policy(), s.CPUs, s.machine().Name, argsKey(s.Args), s.Seed, faultKey(s.machine()))
 }
 
 func (s RunSpec) runCell(bud des.Budget) (cellResult, error) { return runSpecCell(s, bud) }
@@ -157,8 +155,7 @@ func argsKey(args map[string]int) string {
 func Run(spec RunSpec) (Result, error) { return runSpecCell(spec, des.Budget{}) }
 
 // runSpecCell is Run with a DES budget attached (the Runner's supervised
-// path); a Proc panic surfaces as a *des.ProcPanicError return. Execution
-// is dispatched through the spec's PolicySpec.
+// path); a Proc panic surfaces as a *des.ProcPanicError return.
 func runSpecCell(spec RunSpec, bud des.Budget) (Result, error) {
 	app, err := spec.app()
 	if err != nil {
@@ -226,12 +223,7 @@ func (r ConfSyncResult) elapsed() des.Time     { return r.Mean }
 func (r ConfSyncResult) events() uint64        { return 0 }
 func (r ConfSyncResult) faults() []fault.Event { return r.Faults }
 
-// RunConfSync executes one VT_confsync probe cell.
-func RunConfSync(spec ConfSyncSpec) (ConfSyncResult, error) {
-	return runConfSyncCell(spec, des.Budget{})
-}
-
-// runConfSyncCell is RunConfSync with a DES budget attached.
+// runConfSyncCell executes one VT_confsync probe cell under a DES budget.
 func runConfSyncCell(spec ConfSyncSpec, bud des.Budget) (ConfSyncResult, error) {
 	spec = spec.norm()
 	res := ConfSyncResult{CPUs: spec.CPUs}
@@ -330,7 +322,7 @@ func (s HybridSpec) Key() string {
 		n.WithPoints, n.CPUs, n.Machine.Name, argsKey(n.Args), n.Seed, faultKey(n.Machine))
 }
 
-func (s HybridSpec) runCell(bud des.Budget) (cellResult, error) { return runHybrid(s, bud) }
+func (s HybridSpec) runCell(bud des.Budget) (cellResult, error) { return runHybridCell(s, bud) }
 
 // HybridResult is one measured hybrid run.
 type HybridResult struct {
@@ -347,15 +339,11 @@ func (r HybridResult) elapsed() des.Time     { return r.Elapsed }
 func (r HybridResult) events() uint64        { return 0 }
 func (r HybridResult) faults() []fault.Event { return r.Faults }
 
-// RunHybrid executes one hybrid cell: dynprof spawns Sppm, optionally
-// plants the confsync safe point, starts the target and detaches.
-func RunHybrid(spec HybridSpec) (HybridResult, error) {
-	return runHybrid(spec, des.Budget{})
-}
-
-// runHybrid is RunHybrid with a DES budget attached: a dynprof
-// session over the bare Sppm binary (the Dynamic policy's build).
-func runHybrid(spec HybridSpec, bud des.Budget) (HybridResult, error) {
+// runHybridCell executes one hybrid cell under a DES budget: dynprof
+// spawns Sppm over the bare binary (the Dynamic policy's build),
+// optionally plants the confsync safe point, starts the target and
+// detaches.
+func runHybridCell(spec HybridSpec, bud des.Budget) (HybridResult, error) {
 	spec = spec.norm()
 	res := HybridResult{CPUs: spec.CPUs}
 	app, err := apps.Get("sppm")

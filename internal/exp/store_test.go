@@ -141,7 +141,7 @@ func TestStoreTornFinalRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Result{App: "sppm", Policy: None.Key(), CPUs: 2, Elapsed: des.Second}
+	res := Result{App: "sppm", Policy: None.String(), CPUs: 2, Elapsed: des.Second}
 	if err := st.Put("run|intact", res); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestStoreTornFinalRecord(t *testing.T) {
 
 	// A record appended after the resume must land on its own line and
 	// survive the next reopen.
-	after := Result{App: "sppm", Policy: None.Key(), CPUs: 4, Elapsed: 2 * des.Second}
+	after := Result{App: "sppm", Policy: None.String(), CPUs: 4, Elapsed: 2 * des.Second}
 	if err := st2.Put("run|after", after); err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +213,8 @@ func TestStoreLastRecordWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := Result{App: "smg98", Policy: Full.Key(), CPUs: 2, Elapsed: des.Second}
-	second := Result{App: "smg98", Policy: Full.Key(), CPUs: 2, Elapsed: 2 * des.Second}
+	first := Result{App: "smg98", Policy: Full.String(), CPUs: 2, Elapsed: des.Second}
+	second := Result{App: "smg98", Policy: Full.String(), CPUs: 2, Elapsed: 2 * des.Second}
 	if err := st.Put("run|k", first); err != nil {
 		t.Fatal(err)
 	}

@@ -148,11 +148,6 @@ func (r TenantsResult) elapsed() des.Time     { return r.Elapsed }
 func (r TenantsResult) events() uint64        { return r.Events }
 func (r TenantsResult) faults() []fault.Event { return nil }
 
-// RunTenants executes one tenants cell without a budget.
-func RunTenants(spec TenantsSpec) (TenantsResult, error) {
-	return runTenantsCell(spec, des.Budget{})
-}
-
 // percentile returns the nearest-rank percentile of sorted samples.
 func percentile(sorted []des.Time, pct int) des.Time {
 	if len(sorted) == 0 {

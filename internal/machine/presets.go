@@ -3,19 +3,16 @@ package machine
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
 )
 
-// The preset registry maps short stable identifiers to machine builders.
-// New is the package's front door: look a preset up by id, then refine it
-// with functional options. The registry is extensible so downstream tools
-// can Register site-specific clusters next to the paper's two platforms.
+// The preset registry maps short stable identifiers to machine builders:
+// the paper's two platforms. New is the package's front door: look a
+// preset up by id, then refine it with functional options.
 var (
-	presetMu sync.RWMutex
-	presets  = map[string]func() *Config{
+	presets = map[string]func() *Config{
 		"ibm-power3": ibmPower3,
 		"ia32-linux": ia32Linux,
 	}
@@ -41,9 +38,7 @@ func New(id string, opts ...Option) (*Config, error) {
 	if canon, ok := aliases[id]; ok {
 		id = canon
 	}
-	presetMu.RLock()
 	build, ok := presets[id]
-	presetMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("machine: unknown preset %q (have %v)", id, Presets())
 	}
@@ -68,25 +63,12 @@ func MustNew(id string, opts ...Option) *Config {
 
 // Presets lists the registered preset ids in sorted order.
 func Presets() []string {
-	presetMu.RLock()
-	defer presetMu.RUnlock()
 	ids := make([]string, 0, len(presets))
 	for id := range presets {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// Register adds (or replaces) a preset. The builder must return a fresh
-// Config on every call.
-func Register(id string, build func() *Config) {
-	if id == "" || build == nil {
-		panic("machine: Register needs a preset id and a builder")
-	}
-	presetMu.Lock()
-	presets[id] = build
-	presetMu.Unlock()
 }
 
 // validate rejects configurations no simulation could run on.

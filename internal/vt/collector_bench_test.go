@@ -1,164 +1,196 @@
 package vt
 
 import (
-	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
-
-	"dynprof/internal/des"
 )
 
-// mkBatch builds one rank's flush batch: times non-decreasing, as produced
-// by a real per-thread buffer.
-func mkBatch(rank int32, start des.Time, n int) []Event {
-	evs := make([]Event, n)
-	for i := range evs {
-		evs[i] = Event{
-			At: start + des.Time(i), Rank: rank, TID: 0,
-			Kind: Kind(i % 2), ID: int32(i % 7),
-		}
-	}
-	return evs
+// benchKernels are the kernels whose recorded traces live in testdata, in
+// the compact figure's order.
+var benchKernels = []string{"smg98", "sppm", "sweep3d", "umt98"}
+
+// recordedStream is one kernel's recorded trace: the per-rank function
+// tables and the flush batches in the order the run appended them.
+type recordedStream struct {
+	funcs   map[int32]map[int32]string
+	batches [][]Event
+	events  int
 }
 
-// BenchmarkCollectorAppend measures merging flush batches into the
-// collector (the per-rank hot path at every mid-run flush and at
-// termination).
-func BenchmarkCollectorAppend(b *testing.B) {
-	b.ReportAllocs()
-	batch := mkBatch(0, 0, 256)
-	b.ResetTimer()
-	col := NewCollector()
-	for i := 0; i < b.N; i++ {
-		if col.Len() > 1<<20 {
-			// Bound collector growth so the benchmark measures Append,
-			// not unbounded memory pressure.
-			b.StopTimer()
-			col = NewCollector()
-			b.StartTimer()
+// loadStream reads testdata/<app>.vgvc, the kernel's Full-instrumentation
+// run at the compact figure's deck. Every frame of the file is one rank's
+// flush batch, so replaying the frames replays the run's collector traffic.
+func loadStream(b *testing.B, app string) recordedStream {
+	b.Helper()
+	f, err := os.Open(filepath.Join("testdata", app+".vgvc"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	col, err := ReadCompactTrace(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer col.Release()
+	st := recordedStream{funcs: col.funcs}
+	var dec decoder
+	for _, blk := range col.blocks {
+		batch, _, _, err := dec.block(col.carena[blk.off:blk.end], blk.count, nil)
+		if err != nil {
+			b.Fatal(err)
 		}
+		st.batches = append(st.batches, batch)
+		st.events += len(batch)
+	}
+	return st
+}
+
+// fill builds a collector holding the stream.
+func (st recordedStream) fill(col *Collector) *Collector {
+	for rank, names := range st.funcs {
+		col.AddFuncTable(rank, names)
+	}
+	for _, batch := range st.batches {
 		col.Append(batch)
 	}
+	return col
 }
 
-// BenchmarkCollectorEvents measures the merged-view cost: ranks flush
-// per-rank buffers, then Events is called repeatedly (as the analysis,
-// trace-writer and render paths all do).
-func BenchmarkCollectorEvents(b *testing.B) {
-	for _, ranks := range []int{4, 32} {
-		b.Run(fmt.Sprintf("%dranks", ranks), func(b *testing.B) {
+// eachKernel runs bench once per recorded kernel stream.
+func eachKernel(b *testing.B, bench func(b *testing.B, st recordedStream)) {
+	for _, app := range benchKernels {
+		b.Run(app, func(b *testing.B) {
+			st := loadStream(b, app)
 			b.ReportAllocs()
-			col := NewCollector()
-			for r := 0; r < ranks; r++ {
-				for batch := 0; batch < 4; batch++ {
-					col.Append(mkBatch(int32(r), des.Time(batch*512), 512))
-				}
-			}
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				evs := col.Events()
-				if len(evs) != ranks*4*512 {
-					b.Fatalf("got %d events", len(evs))
-				}
-			}
+			bench(b, st)
 		})
 	}
 }
 
-// BenchmarkCollectorWriteTrace measures the dump path end to end.
-func BenchmarkCollectorWriteTrace(b *testing.B) {
-	b.ReportAllocs()
-	col := NewCollector()
-	for r := 0; r < 8; r++ {
-		col.AddFuncTable(int32(r), map[int32]string{0: "main", 1: "solve"})
-		col.Append(mkBatch(int32(r), 0, 2048))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := col.WriteTrace(io.Discard); err != nil {
-			b.Fatal(err)
+// benchAppend replays a kernel's flush batches into a collector, one
+// whole stream per op (the per-rank hot path at every mid-run flush and
+// at termination).
+func benchAppend(b *testing.B, newCol func() *Collector) {
+	eachKernel(b, func(b *testing.B, st recordedStream) {
+		col := newCol()
+		for i := 0; i < b.N; i++ {
+			if col.Len() > 1<<20 {
+				// Bound collector growth so the benchmark measures
+				// Append, not unbounded memory pressure.
+				b.StopTimer()
+				col.Release()
+				col = newCol()
+				b.StartTimer()
+			}
+			for _, batch := range st.batches {
+				col.Append(batch)
+			}
 		}
-	}
+		b.StopTimer()
+		if cs := col.CompactStats(); cs.EventsIn > 0 {
+			b.ReportMetric(float64(cs.Bytes)/float64(cs.EventsIn), "bytes/event")
+		}
+		col.Release()
+	})
 }
 
-// benchLoopBatch is the suppression benchmarks' input: a loop-shaped batch
-// (the redundant case compaction targets) of n events.
-func benchLoopBatch(n int) []Event {
-	return loopBatch(0, 0, 0, (n+3)/4)[:n]
-}
+// BenchmarkCollectorAppend measures merging the recorded flush batches
+// into a verbatim collector.
+func BenchmarkCollectorAppend(b *testing.B) { benchAppend(b, NewCollector) }
 
 // BenchmarkCollectorAppendCompact is BenchmarkCollectorAppend against a
 // compact collector: the encode cost paid online per flush batch. The
-// bytes/event metric is the suppression ratio on loop-shaped input.
-func BenchmarkCollectorAppendCompact(b *testing.B) {
-	b.ReportAllocs()
-	batch := benchLoopBatch(256)
-	b.ResetTimer()
-	col := NewCompactCollector()
-	for i := 0; i < b.N; i++ {
-		if col.Len() > 1<<20 {
-			b.StopTimer()
-			col.Release()
-			col = NewCompactCollector()
-			b.StartTimer()
+// bytes/event metric is the suppression ratio on the kernel's traffic.
+func BenchmarkCollectorAppendCompact(b *testing.B) { benchAppend(b, NewCompactCollector) }
+
+// BenchmarkCollectorEvents measures the merged-view cost of a collector
+// holding a kernel's stream, as the analysis, trace-writer and render
+// paths all pay it.
+func BenchmarkCollectorEvents(b *testing.B) {
+	eachKernel(b, func(b *testing.B, st recordedStream) {
+		col := st.fill(NewCollector())
+		defer col.Release()
+		for i := 0; i < b.N; i++ {
+			if evs := col.Events(); len(evs) != st.events {
+				b.Fatalf("got %d events, want %d", len(evs), st.events)
+			}
 		}
-		col.Append(batch)
-	}
-	b.StopTimer()
-	if st := col.CompactStats(); st.EventsIn > 0 {
-		b.ReportMetric(float64(st.Bytes)/float64(st.EventsIn), "bytes/event")
-	}
+	})
 }
 
-// BenchmarkCompactEncode measures the raw encoder on loop-shaped input:
-// ns/event and bytes/event of one block encode.
-func BenchmarkCompactEncode(b *testing.B) {
-	b.ReportAllocs()
-	evs := benchLoopBatch(4096)
-	var enc encoder
-	buf, _, _ := enc.encodeBlock(nil, evs)
-	b.SetBytes(int64(len(evs)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, _, _ = enc.encodeBlock(buf[:0], evs)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(buf))/float64(len(evs)), "bytes/event")
-}
-
-// BenchmarkCompactDecode measures reconstruction of the same block.
-func BenchmarkCompactDecode(b *testing.B) {
-	b.ReportAllocs()
-	evs := benchLoopBatch(4096)
-	var enc encoder
-	block, _, _ := enc.encodeBlock(nil, evs)
-	var dec decoder
-	out := make([]Event, 0, len(evs))
-	b.SetBytes(int64(len(evs)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, _, _, err = dec.block(block, len(evs), out[:0])
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkCollectorWriteTrace measures the textual dump path end to end.
+func BenchmarkCollectorWriteTrace(b *testing.B) {
+	eachKernel(b, func(b *testing.B, st recordedStream) {
+		col := st.fill(NewCollector())
+		defer col.Release()
+		for i := 0; i < b.N; i++ {
+			if err := col.WriteTrace(io.Discard); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkCollectorWriteCompactTrace is the compact dump path against
-// BenchmarkCollectorWriteTrace's exact workload — the collector host-time
-// comparison in BENCH_PR10.json (text formatting vs block copy-out).
+// BenchmarkCollectorWriteTrace's workload: a sealed-block copy-out instead
+// of text formatting.
 func BenchmarkCollectorWriteCompactTrace(b *testing.B) {
-	b.ReportAllocs()
-	col := NewCompactCollector()
-	for r := 0; r < 8; r++ {
-		col.AddFuncTable(int32(r), map[int32]string{0: "main", 1: "solve"})
-		col.Append(mkBatch(int32(r), 0, 2048))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := col.WriteCompactTrace(io.Discard); err != nil {
-			b.Fatal(err)
+	eachKernel(b, func(b *testing.B, st recordedStream) {
+		col := st.fill(NewCompactCollector())
+		defer col.Release()
+		for i := 0; i < b.N; i++ {
+			if err := col.WriteCompactTrace(io.Discard); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+}
+
+// BenchmarkCompactEncode measures the raw encoder over a kernel's flush
+// batches, one block per batch: throughput in events (SetBytes counts
+// events) and bytes/event of the encoded stream.
+func BenchmarkCompactEncode(b *testing.B) {
+	eachKernel(b, func(b *testing.B, st recordedStream) {
+		var enc encoder
+		var buf []byte
+		encoded := 0
+		b.SetBytes(int64(st.events))
+		for i := 0; i < b.N; i++ {
+			encoded = 0
+			for _, batch := range st.batches {
+				buf, _, _ = enc.encodeBlock(buf[:0], batch)
+				encoded += len(buf)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(encoded)/float64(st.events), "bytes/event")
+	})
+}
+
+// BenchmarkCompactDecode measures reconstruction of the same blocks.
+func BenchmarkCompactDecode(b *testing.B) {
+	eachKernel(b, func(b *testing.B, st recordedStream) {
+		b.StopTimer()
+		var enc encoder
+		blocks := make([][]byte, len(st.batches))
+		for i, batch := range st.batches {
+			blocks[i], _, _ = enc.encodeBlock(nil, batch)
+		}
+		var dec decoder
+		var out []Event
+		b.SetBytes(int64(st.events))
+		b.StartTimer()
+		for i := 0; i < b.N; i++ {
+			for j, block := range blocks {
+				var err error
+				out, _, _, err = dec.block(block, len(st.batches[j]), out[:0])
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

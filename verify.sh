@@ -52,10 +52,11 @@ go test -race -run TestTenants ./internal/exp/
 # fault class enabled must terminate via timeout degradation.
 go test -run TestFaultSmoke ./internal/exp/
 
-# Benchmark smoke: one iteration of the regression benchmarks, so a
+# Benchmark smoke: one iteration of every package microbenchmark, so a
 # benchmark that no longer compiles or panics fails the gate here rather
-# than in the next perf investigation.
-scripts/bench.sh -s
+# than in the next perf investigation. The end-to-end benchmark is
+# perfbench (bash perfbench/run.sh).
+go test -run '^$' -bench . -benchtime 1x ./...
 
 # Kill-and-resume smoke: SIGKILL a journaled sweep mid-run, resume it,
 # and require byte-identical output vs. an uninterrupted run. The kill is
