@@ -11,7 +11,7 @@
 //	experiments -fig7a -csv       # CSV output
 //	experiments -fig7a -max-cpus 8  # truncate the CPU sweep
 //	experiments -all -jsonl cells.jsonl -progress  # observable run
-//	experiments -scale -shards 8 -spill-dir spill  # 1k-16k rank sweep on the sharded DES
+//	experiments -scale -shards 8      # 1k-16k rank sweep on the sharded DES
 //	experiments -tenants              # multi-tenant server: latency percentiles at 100-10k sessions
 //	experiments -adapt                # adaptive controller: overhead/retention vs budget on all kernels
 //	experiments -compact              # trace bytes/event at Full: verbatim vs redundancy-suppressed
@@ -65,9 +65,7 @@ func run() error {
 		jsonl    = flag.String("jsonl", "", "write one JSON line per figure cell to this file")
 		progress = flag.Bool("progress", false, "report cell progress and run metrics on stderr")
 
-		shards         = flag.Int("shards", 0, "DES shard count for -scale cells (0 = "+fmt.Sprint(exp.DefaultScaleShards)+"); results are fixed per shard count")
-		spillDir       = flag.String("spill-dir", "", "stream -scale trace arenas to spill files under DIR, bounding resident memory")
-		spillThreshold = flag.Int("spill-threshold", 0, "per-shard resident events before a spill (0 = "+fmt.Sprint(exp.DefaultSpillThreshold)+")")
+		shards = flag.Int("shards", 0, "DES shard count for -scale cells (0 = "+fmt.Sprint(exp.DefaultScaleShards)+"); results are fixed per shard count")
 
 		cacheDir    = flag.String("cache-dir", "", "journal finished cells to DIR/"+exp.StoreJournalName+" (crash-safe, fsynced)")
 		resume      = flag.Bool("resume", false, "serve finished cells from the -cache-dir journal instead of re-executing them")
@@ -123,16 +121,14 @@ func run() error {
 	}
 
 	opts := exp.Options{
-		Seed:           *seed,
-		SeedSet:        true,
-		MaxCPUs:        *maxCPUs,
-		Parallelism:    *parallel,
-		CellTimeout:    *cellTimeout,
-		MaxAttempts:    *maxAttempts,
-		Budget:         des.Budget{MaxEvents: *maxEvents, MaxVirtual: des.Time(*maxVirtual / time.Nanosecond)},
-		Shards:         *shards,
-		SpillDir:       *spillDir,
-		SpillThreshold: *spillThreshold,
+		Seed:        *seed,
+		SeedSet:     true,
+		MaxCPUs:     *maxCPUs,
+		Parallelism: *parallel,
+		CellTimeout: *cellTimeout,
+		MaxAttempts: *maxAttempts,
+		Budget:      des.Budget{MaxEvents: *maxEvents, MaxVirtual: des.Time(*maxVirtual / time.Nanosecond)},
+		Shards:      *shards,
 	}
 	if *resume && *cacheDir == "" {
 		return fmt.Errorf("-resume requires -cache-dir")

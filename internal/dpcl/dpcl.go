@@ -60,7 +60,7 @@ func CreateCost(nodes, procs int) des.Time {
 // ServeGate arbitrates daemon service time between users sharing a node.
 // When set on a System, every costed daemon-side action passes through
 // Serve instead of a plain Advance: the gate decides when the daemon Proc
-// actually spends the cost (e.g. weighted round-robin between tenants), and
+// actually spends the cost (e.g. round-robin between tenants), and
 // must advance p by cost before returning. A nil gate is the single-tenant
 // model: first-come first-served per daemon, no cross-user arbitration.
 type ServeGate interface {

@@ -2,8 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 
 	"dynprof/internal/des"
@@ -19,8 +17,8 @@ import (
 // partitioned over shards (machine.ShardMap), ranks live on their node's
 // shard, intra-node traffic stays shard-local and inter-node messages
 // cross shards with the wire latency as conservative lookahead. Trace
-// collection uses one vt.Collector per shard with an optional streaming
-// spill sink, so resident trace memory stays bounded at any rank count.
+// collection uses one in-memory vt.Collector per shard; the skeletons emit
+// 16 events per rank, so even the 16k-rank cells hold a few MB of trace.
 //
 // The skeletons are deliberately RNG-free and blocking-count based: every
 // virtual timestamp is a pure function of the machine model, so a cell's
@@ -34,9 +32,6 @@ const (
 	DefaultScaleShards = 8
 	// DefaultScaleIters is the number of solver iterations per cell.
 	DefaultScaleIters = 4
-	// DefaultSpillThreshold is the per-shard resident event count that
-	// triggers a spill when a spill directory is configured.
-	DefaultSpillThreshold = 16384
 )
 
 // scaleFlushThreshold bounds each rank's in-library event buffer: small
@@ -72,17 +67,9 @@ type ScaleSpec struct {
 	// Seed fixes the simulation seed (used literally; 0 is valid).
 	Seed uint64
 
-	// Harness configuration — never part of the spec key, because none of
-	// it changes the simulated result.
-
-	// SpillDir, when non-empty, streams each shard collector's arena to a
-	// spill file under this directory once it exceeds SpillThreshold
-	// resident events.
-	SpillDir string
-	// SpillThreshold overrides DefaultSpillThreshold (events per shard).
-	SpillThreshold int
 	// HostParallelism bounds the host worker goroutines executing shards
-	// (0 = GOMAXPROCS). Results are identical for any value.
+	// (0 = GOMAXPROCS). Harness configuration, never part of the spec
+	// key: results are identical for any value.
 	HostParallelism int
 }
 
@@ -96,9 +83,6 @@ func (s ScaleSpec) norm() ScaleSpec {
 	}
 	if s.Machine == nil {
 		s.Machine = scaleMachine(s.Ranks)
-	}
-	if s.SpillThreshold == 0 {
-		s.SpillThreshold = DefaultSpillThreshold
 	}
 	if s.HostParallelism == 0 {
 		s.HostParallelism = runtime.GOMAXPROCS(0)
@@ -119,8 +103,8 @@ func scaleMachine(ranks int) *machine.Config {
 		machine.WithName(fmt.Sprintf("%s grown to %d nodes", base.Name, nodes)))
 }
 
-// Key canonicalises the spec (defaults resolved first; spill and host
-// parallelism excluded — they never change the simulated result).
+// Key canonicalises the spec (defaults resolved first; host parallelism
+// excluded — it never changes the simulated result).
 func (s ScaleSpec) Key() string {
 	n := s.norm()
 	return fmt.Sprintf("scale|%s|ranks=%d|shards=%d|iters=%d|%s|seed=%d%s",
@@ -143,9 +127,6 @@ type ScaleResult struct {
 	// TraceEvents and TraceBytes measure the collected trace volume.
 	TraceEvents int
 	TraceBytes  int
-	// SpilledEvents counts trace events streamed to spill files (0
-	// without a spill directory).
-	SpilledEvents int
 }
 
 func (r ScaleResult) elapsed() des.Time     { return r.Elapsed }
@@ -339,7 +320,7 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 		des.WithClusterBudget(bud), des.WithHostParallelism(spec.HostParallelism))
 
 	// One trace collector per shard: appends stay shard-local (race-free
-	// and deterministic), and each arena spills independently.
+	// and deterministic).
 	cols := make([]*vt.Collector, smap.Shards())
 	defer func() {
 		for _, col := range cols {
@@ -350,16 +331,6 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 	}()
 	for i := range cols {
 		cols[i] = vt.NewCollector()
-		if spec.SpillDir != "" {
-			if err := os.MkdirAll(spec.SpillDir, 0o755); err != nil {
-				return res, fmt.Errorf("exp: scale spill dir: %w", err)
-			}
-			path := filepath.Join(spec.SpillDir, fmt.Sprintf("scale_%s_r%d_s%d_i%d_seed%d.shard%d.spill",
-				spec.App, spec.Ranks, spec.Shards, spec.Iters, spec.Seed, i))
-			if err := cols[i].SpillTo(path, spec.SpillThreshold); err != nil {
-				return res, err
-			}
-		}
 	}
 
 	net := &scaleNet{
@@ -404,12 +375,8 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 	}
 	res.Events = cluster.Executed()
 	for _, col := range cols {
-		if err := col.SpillErr(); err != nil {
-			return res, err
-		}
 		res.TraceEvents += col.Len()
 		res.TraceBytes += col.Bytes()
-		res.SpilledEvents += col.Spilled()
 	}
 	return res, nil
 }
@@ -432,7 +399,6 @@ func planScale(opts Options) (*figurePlan, error) {
 				spec: ScaleSpec{
 					App: app, Ranks: ranks,
 					Shards: opts.Shards, Machine: opts.Machine, Seed: opts.seed(),
-					SpillDir: opts.SpillDir, SpillThreshold: opts.SpillThreshold,
 				},
 				value: func(v any) float64 { return v.(ScaleResult).Elapsed.Seconds() },
 			})

@@ -1,11 +1,11 @@
 package exp
 
 import (
-	"os"
 	"reflect"
 	"testing"
 
 	"dynprof/internal/des"
+	"dynprof/internal/vt"
 )
 
 // scaleTestRanks keeps unit-test cells small; the sweep sizes live in
@@ -16,6 +16,8 @@ const scaleTestRanks = 256
 // simulated result of a scale cell does not depend on how the machine is
 // sharded. Together with des.TestSingleShardMatchesSerial this is the
 // golden-equivalence chain from the serial scheduler to any shard count.
+// It also pins the trace volume the in-memory collectors hold: 16 events
+// per rank at the fixed per-event record size.
 func TestScaleShardCountInvariant(t *testing.T) {
 	for _, app := range scaleApps {
 		var base ScaleResult
@@ -24,8 +26,12 @@ func TestScaleShardCountInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", app, shards, err)
 			}
-			if got.Events == 0 || got.TraceEvents == 0 || got.Elapsed == 0 {
+			if got.Events == 0 || got.Elapsed == 0 {
 				t.Fatalf("%s shards=%d: degenerate result %+v", app, shards, got)
+			}
+			if got.TraceEvents != 16*scaleTestRanks || got.TraceBytes != got.TraceEvents*vt.EventBytes {
+				t.Errorf("%s shards=%d: trace %d events / %d bytes, want %d / %d", app, shards,
+					got.TraceEvents, got.TraceBytes, 16*scaleTestRanks, 16*scaleTestRanks*vt.EventBytes)
 			}
 			if i == 0 {
 				base = got
@@ -57,39 +63,6 @@ func TestScaleDeterministicAcrossHostParallelism(t *testing.T) {
 		if !reflect.DeepEqual(got, serial) {
 			t.Errorf("workers=%d changed the result:\n  %+v\n  %+v", workers, got, serial)
 		}
-	}
-}
-
-// TestScaleSpill runs a cell with a spill directory tight enough to force
-// spilling and demands (a) the simulated result is untouched, (b) events
-// actually went to disk, and (c) the spill files are cleaned up with the
-// collectors.
-func TestScaleSpill(t *testing.T) {
-	plain, err := runScaleCell(ScaleSpec{App: "smg98", Ranks: scaleTestRanks, Shards: 4}, des.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	spilled, err := runScaleCell(ScaleSpec{
-		App: "smg98", Ranks: scaleTestRanks, Shards: 4,
-		SpillDir: dir, SpillThreshold: 64,
-	}, des.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spilled.SpilledEvents == 0 {
-		t.Fatal("no events spilled despite tiny threshold")
-	}
-	spilled.SpilledEvents = 0
-	if !reflect.DeepEqual(spilled, plain) {
-		t.Errorf("spilling changed the simulated result:\n  %+v\n  %+v", spilled, plain)
-	}
-	left, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("%d spill files survive the cell (collectors not released?)", len(left))
 	}
 }
 
@@ -136,13 +109,11 @@ func TestScaleSpecKeyDefaults(t *testing.T) {
 	if implicit.Key() != explicit.Key() {
 		t.Errorf("defaulted key %q != explicit key %q", implicit.Key(), explicit.Key())
 	}
-	// Harness knobs must not leak into the key.
+	// The harness knob must not leak into the key.
 	tuned := implicit
-	tuned.SpillDir = "/tmp/x"
-	tuned.SpillThreshold = 1
 	tuned.HostParallelism = 3
 	if tuned.Key() != implicit.Key() {
-		t.Errorf("harness knobs leaked into key: %q", tuned.Key())
+		t.Errorf("harness knob leaked into key: %q", tuned.Key())
 	}
 	if s := (ScaleSpec{App: "smg98", Ranks: 2048, Shards: 2}); s.Key() == implicit.Key() {
 		t.Error("shard count must be part of the key")

@@ -3,9 +3,9 @@
 // instrument at once. It layers three policies over the single-tool core:
 // admission control (sessions past a concurrency limit queue or are
 // rejected), per-session quotas (probes, trace bytes, control-op rate), and
-// weighted round-robin scheduling of daemon service time so one chatty
-// tenant cannot starve the others — the shared-daemon economics ScALPEL
-// argues for, applied to the paper's per-node super/comm daemon structure.
+// round-robin scheduling of daemon service time so one chatty tenant
+// cannot starve the others — the shared-daemon economics ScALPEL argues
+// for, applied to the paper's per-node super/comm daemon structure.
 package serve
 
 import (
@@ -15,14 +15,13 @@ import (
 // FairSched arbitrates communication-daemon service time between the users
 // sharing each node, in virtual time. It implements dpcl.ServeGate: every
 // costed daemon-side action on a node passes through one per-node lane,
-// and when the lane is contended, waiting requests are served in weighted
-// round-robin order over users — a user with weight w gets up to w
-// consecutive requests per turn. Within a user, requests stay FIFO.
+// and when the lane is contended, waiting requests are served in
+// round-robin order over users — one request per user per turn. Within a
+// user, requests stay FIFO.
 type FairSched struct {
-	weights map[string]int
-	lanes   map[int]*lane
-	served  map[string]int
-	waits   map[string]des.Time
+	lanes  map[int]*lane
+	served map[string]int
+	waits  map[string]des.Time
 }
 
 // lane is one node's service queue. Invariant: a user appears in rr if and
@@ -32,33 +31,15 @@ type lane struct {
 	busy bool
 	rr   []string               // round-robin order of users with queued work
 	q    map[string][]*des.Gate // per-user FIFO of waiting requests
-	left int                    // requests remaining in rr[0]'s quantum
 }
 
-// NewFairSched creates a scheduler; every user starts with weight 1.
+// NewFairSched creates a scheduler.
 func NewFairSched() *FairSched {
 	return &FairSched{
-		weights: make(map[string]int),
-		lanes:   make(map[int]*lane),
-		served:  make(map[string]int),
-		waits:   make(map[string]des.Time),
+		lanes:  make(map[int]*lane),
+		served: make(map[string]int),
+		waits:  make(map[string]des.Time),
 	}
-}
-
-// SetWeight grants user up to w consecutive requests per round-robin turn
-// (w < 1 is treated as 1).
-func (f *FairSched) SetWeight(user string, w int) {
-	if w < 1 {
-		w = 1
-	}
-	f.weights[user] = w
-}
-
-func (f *FairSched) weight(user string) int {
-	if w := f.weights[user]; w > 0 {
-		return w
-	}
-	return 1
 }
 
 // Served reports how many requests have been served for user.
@@ -102,7 +83,8 @@ func (f *FairSched) enqueue(ln *lane, user string, g *des.Gate) {
 	ln.q[user] = append(ln.q[user], g)
 }
 
-// pick hands the lane to the next request in WRR order, or marks it idle.
+// pick hands the lane to the next request in round-robin order, or marks
+// it idle.
 func (f *FairSched) pick(ln *lane) {
 	for len(ln.rr) > 0 {
 		head := ln.rr[0]
@@ -111,17 +93,12 @@ func (f *FairSched) pick(ln *lane) {
 			// Drained: retire the user from the rotation.
 			delete(ln.q, head)
 			ln.rr = ln.rr[1:]
-			ln.left = 0
 			continue
 		}
-		if ln.left <= 0 {
-			ln.left = f.weight(head)
-		}
-		ln.left--
 		g := hq[0]
 		ln.q[head] = hq[1:]
-		if ln.left <= 0 && len(ln.rr) > 1 {
-			// Quantum spent: rotate the user to the back of the ring.
+		if len(ln.rr) > 1 {
+			// Turn spent: rotate the user to the back of the ring.
 			ln.rr = append(ln.rr[1:], head)
 		}
 		g.Set(true) // the woken request Advances, then picks again

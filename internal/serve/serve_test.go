@@ -12,37 +12,41 @@ import (
 	"dynprof/internal/serve"
 )
 
-// TestFairSchedWeightedRoundRobin pins the WRR service order on one
-// contended lane: a weight-2 user gets two consecutive requests per turn,
-// a weight-1 user one, and within a user requests stay FIFO.
-func TestFairSchedWeightedRoundRobin(t *testing.T) {
+// TestFairSchedRoundRobin pins the service order on one contended lane:
+// users take one request per turn in the order they first queued, a user
+// whose queue drains leaves the rotation, and within a user requests stay
+// FIFO.
+func TestFairSchedRoundRobin(t *testing.T) {
 	s := des.NewScheduler(1)
 	f := serve.NewFairSched()
-	f.SetWeight("heavy", 2)
 	var order []string
 	submit := func(user string, n int) {
 		for i := 0; i < n; i++ {
-			s.Spawn(fmt.Sprintf("%s%d", user, i), func(p *des.Proc) {
+			req := fmt.Sprintf("%s%d", user, i)
+			s.Spawn(req, func(p *des.Proc) {
 				f.Serve(p, 0, user, "install", des.Millisecond)
-				order = append(order, user)
+				order = append(order, req)
 			})
 		}
 	}
-	// heavy's first request grabs the idle lane; everything else queues.
-	submit("heavy", 6)
-	submit("light", 3)
+	// a0 grabs the idle lane; everything else queues.
+	submit("a", 3)
+	submit("b", 4)
+	submit("c", 2)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"heavy", "heavy", "heavy", "light", "heavy", "heavy", "light", "heavy", "light"}
-	if got := strings.Join(order, " "); got != strings.Join(want, " ") {
-		t.Fatalf("service order:\n got %s\nwant %s", got, strings.Join(want, " "))
+	want := "a0 a1 b0 c0 a2 b1 c1 b2 b3"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("service order:\n got %s\nwant %s", got, want)
 	}
-	if f.Served("heavy") != 6 || f.Served("light") != 3 {
-		t.Errorf("served counts heavy=%d light=%d", f.Served("heavy"), f.Served("light"))
+	for user, n := range map[string]int{"a": 3, "b": 4, "c": 2} {
+		if got := f.Served(user); got != n {
+			t.Errorf("served %s = %d, want %d", user, got, n)
+		}
 	}
-	if f.WaitTime("light") == 0 {
-		t.Error("light user never waited despite the contended lane")
+	if f.WaitTime("b") == 0 || f.WaitTime("c") == 0 {
+		t.Error("queued users never waited despite the contended lane")
 	}
 }
 

@@ -2,7 +2,6 @@ package vgv
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"dynprof/internal/apps"
@@ -13,9 +12,9 @@ import (
 )
 
 // The compact trace format's contract is that suppression is invisible to
-// analysis: every VGV rendering of a suppressed+compacted trace — directly,
-// after a spill cycle, and after a write/decode round trip through the
-// binary trace file — must be byte-identical to the verbatim collector's.
+// analysis: every VGV rendering of a suppressed+compacted trace — directly
+// and after a write/decode round trip through the binary trace file — must
+// be byte-identical to the verbatim collector's.
 // This suite enforces that per kernel at Full instrumentation.
 
 var equivKernels = []struct {
@@ -134,22 +133,6 @@ func TestCompactVGVEquivalence(t *testing.T) {
 			}
 			defer decoded.Release()
 			compareRenderings(t, "decoded", wantCompact, renderAll(t, decoded))
-
-			// Spilling compact collector: same contract with the resident
-			// budget forced through the version-2 spill file.
-			spilling := vt.NewCompactCollector()
-			defer spilling.Release()
-			if err := spilling.SpillTo(filepath.Join(t.TempDir(), "equiv.cspill"), 256); err != nil {
-				t.Fatal(err)
-			}
-			runKernel(t, k.app, k.args, k.procs, spilling)
-			if spilling.Spilled() == 0 {
-				t.Fatal("spill threshold never reached")
-			}
-			if err := spilling.SpillErr(); err != nil {
-				t.Fatal(err)
-			}
-			compareRenderings(t, "spilling", want, renderAll(t, spilling))
 		})
 	}
 }

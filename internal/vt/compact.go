@@ -46,8 +46,8 @@ import (
 
 // Compact-format constants.
 const (
-	// CompactVersion is the format-version byte of compact blocks, spill
-	// files and binary trace files written by this package.
+	// CompactVersion is the format-version byte of compact blocks and
+	// binary trace files written by this package.
 	CompactVersion = 2
 
 	// maxPattern bounds the repeat detector's pattern length (loop bodies;
@@ -74,12 +74,12 @@ const (
 	tagRepeat   byte = 1 << 7
 )
 
-// FormatError reports an encoded artifact — spill file, binary trace file
-// or compact block — whose magic, version or structure cannot be
-// interpreted. Readers return it instead of silently misparsing records
-// written by a different format revision.
+// FormatError reports an encoded artifact — binary trace file or compact
+// block — whose magic, version or structure cannot be interpreted. Readers
+// return it instead of silently misparsing records written by a different
+// format revision.
 type FormatError struct {
-	// What names the artifact: "spill file", "compact trace", "compact block".
+	// What names the artifact: "compact trace" or "compact block".
 	What string
 	// Version is the unrecognised format version, or -1 for a structural
 	// (corruption) failure.
@@ -105,7 +105,7 @@ type CompactStats struct {
 	Records int
 	// Repeats is the number of parameterized repeat records among Records.
 	Repeats int
-	// Bytes is the encoded payload volume, resident and spilled.
+	// Bytes is the encoded payload volume.
 	Bytes int
 }
 
@@ -141,11 +141,11 @@ var (
 
 // NewCompactCollector returns a collector with online redundancy
 // suppression enabled: Append encodes every batch into the compact block
-// format, Bytes reports the encoded volume, and SpillTo writes version-2
-// frames. The merged Events view, WriteTrace and the analysis paths are
-// byte-identical to a verbatim collector fed the same batches; only the
-// storage representation differs. Suppression is opt-in per collector —
-// NewCollector keeps the verbatim arena.
+// format and Bytes reports the encoded volume. The merged Events view,
+// WriteTrace and the analysis paths are byte-identical to a verbatim
+// collector fed the same batches; only the storage representation
+// differs. Suppression is opt-in per collector — NewCollector keeps the
+// verbatim arena.
 func NewCompactCollector() *Collector {
 	col := NewCollector()
 	col.compact = true
@@ -192,82 +192,53 @@ func (col *Collector) appendCompact(events []Event, frame []byte, recs, reps int
 	col.stats.Records += recs
 	col.stats.Repeats += reps
 	col.stats.Bytes += len(col.carena) - off
-	if col.spill != nil {
-		col.spill.maybeSpill(col)
-	}
 }
 
-// combined reconstructs the full insertion-ordered event stream — the
-// decoded spill frames, then the resident events (the verbatim arena, or
-// the decoded blocks) — together with the matching segment list, for
-// merge-on-read. A verbatim collector with nothing spilled returns its
-// arena as is; otherwise the stream is built in the pooled decode scratch.
-// On a spill read failure the sticky error is set and only the resident
-// events are returned.
+// combined returns the insertion-ordered event stream with the matching
+// segment list, for merge-on-read: a verbatim collector's arena as is, a
+// compact collector's blocks decoded into the pooled scratch.
 func (col *Collector) combined() ([]Event, []segRange) {
-	spilled := col.Spilled()
-	if spilled == 0 && !col.compact {
+	if !col.compact {
 		return col.store, col.segs
 	}
 	if col.decoded == nil {
 		col.decoded = (*eventBufPool.Get().(*[]Event))[:0]
 	}
 	buf := col.decoded[:0]
-	if spilled > 0 {
+	dec := decoderPool.Get().(*decoder)
+	for _, b := range col.blocks {
 		var err error
-		buf, err = col.spill.decodeAll(buf)
+		buf, _, _, err = dec.block(col.carena[b.off:b.end], b.count, buf)
 		if err != nil {
-			col.spill.err = err
-			buf, spilled = buf[:0], 0
+			// These blocks were encoded by this collector: failing to
+			// decode one is memory corruption or an encoder bug, not an
+			// input error.
+			panic(err)
 		}
 	}
-	if col.compact {
-		dec := decoderPool.Get().(*decoder)
-		for _, b := range col.blocks {
-			var err error
-			buf, _, _, err = dec.block(col.carena[b.off:b.end], b.count, buf)
-			if err != nil {
-				// Resident blocks were encoded by this collector: failing
-				// to decode one is memory corruption or an encoder bug,
-				// not an input error.
-				panic(err)
-			}
-		}
-		decoderPool.Put(dec)
-	} else {
-		buf = append(buf, col.store...)
-	}
+	decoderPool.Put(dec)
 	col.decoded = buf
-	segs := make([]segRange, 0, len(col.segs)+8)
-	if spilled > 0 {
-		segs = append(segs, col.spill.segs...)
-	}
-	for _, seg := range col.segs {
-		segs = append(segs, segRange{start: spilled + seg.start, end: spilled + seg.end})
-	}
-	return buf, segs
+	return buf, col.segs
 }
 
-// writeFrames writes the resident events to w as compact frames
-// (`uvarint count, uvarint blockLen, block`) and returns the bytes it
-// wrote: a compact collector's blocks as stored, a verbatim arena encoded
-// in encodeChunkEvents chunks. A write error stays in w (bufio errors are
-// sticky) for the caller's Flush to report.
-func (col *Collector) writeFrames(w *bufio.Writer) int {
-	n := 0
+// writeFrames writes the events to w as compact frames
+// (`uvarint count, uvarint blockLen, block`): a compact collector's blocks
+// as stored, a verbatim arena encoded in encodeChunkEvents chunks. A write
+// error stays in w (bufio errors are sticky) for the caller's Flush to
+// report.
+func (col *Collector) writeFrames(w *bufio.Writer) {
 	var hdr [2 * binary.MaxVarintLen64]byte
 	frame := func(count int, block []byte) {
 		h := binary.PutUvarint(hdr[:], uint64(count))
 		h += binary.PutUvarint(hdr[h:], uint64(len(block)))
 		w.Write(hdr[:h])
 		w.Write(block)
-		n += h + len(block)
 	}
 	if col.compact {
 		for _, b := range col.blocks {
 			frame(b.count, col.carena[b.off:b.end])
 		}
-		return n
+		return
 	}
 	enc := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(enc)
@@ -277,7 +248,6 @@ func (col *Collector) writeFrames(w *bufio.Writer) int {
 		block, _, _ = enc.encodeBlock(block[:0], chunk)
 		frame(len(chunk), block)
 	}
-	return n
 }
 
 // encoder turns event batches into compact blocks. The id dictionary is a
@@ -570,12 +540,11 @@ func (d *decoder) block(src []byte, count int, dst []Event) (out []Event, recs, 
 //	frame* where frame := uvarint count, uvarint blockLen, block
 const traceMagic = "VGVC"
 
-// WriteCompactTrace writes the trace in the compact binary format. The
-// spilled prefix is copied as framed and a compact collector's resident
-// blocks without re-encoding; a verbatim collector's resident arena is
-// encoded in insertion-order chunks. Reading the file back reconstructs a
-// collector whose merged Events view — and therefore every VGV rendering
-// — is byte-identical to the source's.
+// WriteCompactTrace writes the trace in the compact binary format. A
+// compact collector's blocks are copied without re-encoding; a verbatim
+// collector's arena is encoded in insertion-order chunks. Reading the
+// file back reconstructs a collector whose merged Events view — and
+// therefore every VGV rendering — is byte-identical to the source's.
 func (col *Collector) WriteCompactTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(traceMagic)
@@ -603,12 +572,6 @@ func (col *Collector) WriteCompactTrace(w io.Writer) error {
 	}
 
 	writeU(uint64(col.Len()))
-	// The spill file already holds framed blocks: stream its payload.
-	if col.Spilled() > 0 {
-		if err := col.spill.copyFrames(bw); err != nil {
-			return err
-		}
-	}
 	col.writeFrames(bw)
 	return bw.Flush()
 }

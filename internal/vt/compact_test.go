@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -33,6 +31,24 @@ func loopBatch(rank, tid int32, start des.Time, iters int) []Event {
 		}
 	}
 	return evs
+}
+
+// fillBatches appends n interleaved per-thread batches to col, modelling
+// mid-run flushes from several ranks: each batch is time-sorted internally
+// but batches overlap in time, forcing real merge work.
+func fillBatches(col *Collector, batches, perBatch int) {
+	col.AddFuncTable(0, map[int32]string{1: "main", 2: "solve"})
+	for b := 0; b < batches; b++ {
+		evs := make([]Event, perBatch)
+		for i := range evs {
+			evs[i] = Event{
+				At:   des.Time(b + i*3),
+				Rank: int32(b % 4), TID: int32(b % 2),
+				Kind: Enter, ID: 1 + int32(i%2), A: int64(b), B: int64(i),
+			}
+		}
+		col.Append(evs)
+	}
 }
 
 func TestCompactRoundTripLoop(t *testing.T) {
@@ -159,98 +175,29 @@ func TestCompactCollectorMatchesVerbatim(t *testing.T) {
 	}
 }
 
-func TestCompactSpillEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	plain := NewCollector()
-	defer plain.Release()
-	spilling := NewCompactCollector()
-	defer spilling.Release()
-	if err := spilling.SpillTo(filepath.Join(dir, "trace.cspill"), 128); err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range []*Collector{plain, spilling} {
-		fillBatches(col, 20, 50)
-		col.Append(loopBatch(2, 0, 500, 80))
-	}
-	if spilling.Spilled() == 0 {
-		t.Fatal("no events spilled despite tiny threshold")
-	}
-	if spilling.Len() != plain.Len() {
-		t.Fatalf("Len diverges: %d vs %d", spilling.Len(), plain.Len())
-	}
-	if err := spilling.SpillErr(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(spilling.Events(), plain.Events()) {
-		t.Fatal("merged views diverge between compact-spilling and verbatim collectors")
-	}
-	if spilling.Bytes() >= plain.Bytes() {
-		t.Errorf("compact spilling bytes %d not below verbatim %d", spilling.Bytes(), plain.Bytes())
-	}
-}
-
-// TestSpillFileHeader: both collector flavours write the one spill
-// encoding, "VTSP" followed by CompactVersion.
-func TestSpillFileHeader(t *testing.T) {
+// TestSpillAppendAfterReadKeepsOrder: a batch appended after Events has
+// cached the merged view still interleaves with the earlier events, for
+// both collector flavours.
+func TestSpillAppendAfterReadKeepsOrder(t *testing.T) {
 	forEachFlavour(t, func(t *testing.T, newCol func() *Collector) {
 		col := newCol()
 		defer col.Release()
-		path := filepath.Join(t.TempDir(), "trace.spill")
-		if err := col.SpillTo(path, 64); err != nil {
-			t.Fatal(err)
+		col.Append([]Event{{At: 10}, {At: 20}, {At: 30}, {At: 40}})
+		if got := col.Events(); len(got) != 4 {
+			t.Fatalf("mid-run view: %d events", len(got))
 		}
-		fillBatches(col, 10, 50)
-		if col.Spilled() == 0 {
-			t.Fatal("no events spilled")
+		col.Append([]Event{{At: 5}, {At: 35}})
+		got := col.Events()
+		want := []des.Time{5, 10, 20, 30, 35, 40}
+		if len(got) != len(want) {
+			t.Fatalf("got %d events, want %d", len(got), len(want))
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := spillMagic + string(rune(CompactVersion)); len(raw) < spillHdrBytes || string(raw[:spillHdrBytes]) != want {
-			t.Errorf("spill header %q, want %q", raw[:min(len(raw), spillHdrBytes)], want)
+		for i, e := range got {
+			if e.At != want[i] {
+				t.Errorf("event %d at %v, want %v", i, e.At, want[i])
+			}
 		}
 	})
-}
-
-// TestSpillRejectsUnknownVersion corrupts the spill header's version byte
-// under a live collector and requires the read path to surface a typed
-// *FormatError instead of misparsing. Version 1, the retired fixed-record
-// encoding, is rejected like any other.
-func TestSpillRejectsUnknownVersion(t *testing.T) {
-	for _, version := range []byte{1, 99} {
-		for _, compact := range []bool{false, true} {
-			dir := t.TempDir()
-			col := NewCollector()
-			if compact {
-				col = NewCompactCollector()
-			}
-			path := filepath.Join(dir, "trace.spill")
-			if err := col.SpillTo(path, 64); err != nil {
-				t.Fatal(err)
-			}
-			fillBatches(col, 10, 50)
-			if col.Spilled() == 0 {
-				t.Fatal("no events spilled")
-			}
-			f, err := os.OpenFile(path, os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteAt([]byte{version}, int64(len(spillMagic))); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-			col.Events()
-			var fe *FormatError
-			if err := col.SpillErr(); !errors.As(err, &fe) {
-				t.Errorf("version %d, compact=%v: got %v, want *FormatError", version, compact, err)
-			} else if fe.Version != int(version) {
-				t.Errorf("version %d, compact=%v: reported version %d", version, compact, fe.Version)
-			}
-			col.Release()
-		}
-	}
 }
 
 func TestCompactTraceFileRoundTrip(t *testing.T) {
@@ -291,43 +238,6 @@ func TestCompactTraceFileRoundTrip(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestCompactTraceFileSpilledSource: a binary trace written from a
-// spilling collector — spilled frames copied, then the resident events —
-// reads back to the source's trace, for both collector flavours.
-func TestCompactTraceFileSpilledSource(t *testing.T) {
-	forEachFlavour(t, func(t *testing.T, newCol func() *Collector) {
-		col := newCol()
-		defer col.Release()
-		if err := col.SpillTo(filepath.Join(t.TempDir(), "t.spill"), 100); err != nil {
-			t.Fatal(err)
-		}
-		fillBatches(col, 21, 50)
-		if col.Spilled() == 0 || col.Resident() == 0 {
-			t.Fatalf("spilled %d, resident %d: want both non-zero", col.Spilled(), col.Resident())
-		}
-		var want bytes.Buffer
-		if err := col.WriteTrace(&want); err != nil {
-			t.Fatal(err)
-		}
-		var file bytes.Buffer
-		if err := col.WriteCompactTrace(&file); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadCompactTrace(bytes.NewReader(file.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer back.Release()
-		var got bytes.Buffer
-		if err := back.WriteTrace(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatal("trace read back from a spilled source diverges")
-		}
-	})
 }
 
 func TestCompactTraceRejectsUnknownVersion(t *testing.T) {

@@ -108,13 +108,8 @@ type Collector struct {
 	store []Event                    // arena, insertion order; recycled via Release
 	segs  []segRange
 
-	merged  []Event // cached merged view; valid while mergedN == len(store)
+	merged  []Event // cached merged view; valid while mergedN == Len()
 	mergedN int
-
-	// spill, when non-nil, streams the arena to disk whenever it exceeds
-	// the configured threshold, bounding resident trace memory (see
-	// spill.go and SpillTo).
-	spill *spillSink
 
 	// Compact mode (see compact.go): events are stored as encoded blocks
 	// in carena instead of verbatim in store; segs then hold event
@@ -146,9 +141,8 @@ func NewCollector() *Collector {
 
 // Release returns the collector's arena — and, in compact mode, the byte
 // arena, the encoder with its suppression dictionary, and the decode
-// scratch — to the shared pools, and deletes any spill file. The caller
-// declares that neither the collector nor any slice obtained from Events
-// will be used again.
+// scratch — to the shared pools. The caller declares that neither the
+// collector nor any slice obtained from Events will be used again.
 func (col *Collector) Release() {
 	if col.store != nil {
 		buf := col.store[:0]
@@ -174,10 +168,6 @@ func (col *Collector) Release() {
 	col.count, col.lastAt = 0, 0
 	col.compact = false
 	col.stats = CompactStats{}
-	if col.spill != nil {
-		col.spill.close()
-		col.spill = nil
-	}
 }
 
 // AddFuncTable registers rank's id-to-name function table.
@@ -217,40 +207,27 @@ func (col *Collector) Append(events []Event) {
 		}
 		i = j
 	}
-	if col.spill != nil {
-		col.spill.maybeSpill(col)
-	}
 }
 
 // Events returns the merged events sorted by timestamp (stable: ties keep
 // rank/tid/insertion order). The view is cached between Appends; callers
 // must treat it as read-only.
 func (col *Collector) Events() []Event {
-	if col.mergedN != col.residentLen() {
+	if col.mergedN != col.Len() {
 		col.rebuildMerged()
 	}
 	return col.merged
-}
-
-// residentLen is the number of events held in memory: arena entries for a
-// verbatim collector, encoded-block event counts for a compact one.
-func (col *Collector) residentLen() int {
-	if col.compact {
-		return col.count
-	}
-	return len(col.store)
 }
 
 // rebuildMerged recomputes the cached time-ordered view. Each segment is
 // already sorted by (At, insertion index) — times non-decreasing, indices
 // strictly increasing — so a k-way merge keyed on (At, cursor index)
 // reproduces exactly the stable sort of the insertion-ordered stream. A
-// spilling or compact collector first rebuilds that stream — decoded
-// spill frames, then the resident events — in the pooled scratch (see
-// combined); segment boundaries are positions where time decreases, so
-// the rebuilt stream merges exactly like the verbatim arena.
+// compact collector first decodes that stream into the pooled scratch
+// (see combined); its segment boundaries are positions where time
+// decreases, so the decoded stream merges exactly like the verbatim arena.
 func (col *Collector) rebuildMerged() {
-	col.mergedN = col.residentLen()
+	col.mergedN = col.Len()
 	store, segs := col.combined()
 	switch len(segs) {
 	case 0:
@@ -318,18 +295,16 @@ func mergeSegs(store []Event, segs []segRange) []Event {
 	return out
 }
 
-// Len reports the number of collected events, spilled ones included.
+// Len reports the number of collected events.
 func (col *Collector) Len() int {
-	n := col.residentLen()
-	if col.spill != nil {
-		n += col.spill.count
+	if col.compact {
+		return col.count
 	}
-	return n
+	return len(col.store)
 }
 
 // Bytes reports the trace's size: the fixed per-event record size for a
-// verbatim collector, the encoded payload volume (resident and spilled)
-// for a compact one.
+// verbatim collector, the encoded payload volume for a compact one.
 func (col *Collector) Bytes() int {
 	if col.compact {
 		return col.stats.Bytes

@@ -1,7 +1,8 @@
 #!/bin/sh
-# verify.sh — the repository's tier-1 gate plus a race pass over the
-# experiment harness (exp.Runner's worker pool is the only real
-# concurrency in the repo; the DES itself is sequential by design).
+# verify.sh — the repository's tier-1 gate plus race passes over the
+# repo's real host concurrency: exp.Runner's worker pool, des.Cluster's
+# shard window workers and the serve bridge's per-connection readers (a
+# single des.Scheduler itself is sequential by design).
 set -eux
 
 go build ./...
@@ -33,10 +34,10 @@ go test -race ./internal/fault/ ./internal/dpcl/
 
 # Race pass over the whole scheduler package (des.Cluster's window workers
 # are real host concurrency and resume Proc coroutines from whichever
-# worker runs the shard) and the scale cells driving it, including the
-# spilling trace collectors.
+# worker runs the shard) and the scale cells driving it, with their
+# per-shard trace collectors.
 go test -race ./internal/des/
-go test -race -run 'TestScale|TestSpill' ./internal/exp/ ./internal/vt/
+go test -race -run 'TestScale' ./internal/exp/
 
 # Race pass over the Runner's worker pool on the on-demand figures that
 # are quick enough to run under -race.
@@ -77,11 +78,10 @@ wait "$pid" 2>/dev/null || true
 cmp "$smoke/baseline.txt" "$smoke/resumed.txt"
 
 # Scale smoke: the 1k-rank cells of the sharded sweep must render the
-# same bytes unsharded and sharded-with-spill (shard-count invariance of
-# the skeletons, end to end through the CLI).
+# same bytes unsharded and on 8 shards (shard-count invariance of the
+# skeletons, end to end through the CLI).
 "$smoke/experiments" -scale -max-cpus 1024 -shards 1 > "$smoke/scale1.txt"
-"$smoke/experiments" -scale -max-cpus 1024 -shards 8 \
-    -spill-dir "$smoke/spill" -spill-threshold 1024 > "$smoke/scale8.txt"
+"$smoke/experiments" -scale -max-cpus 1024 -shards 8 > "$smoke/scale8.txt"
 cmp "$smoke/scale1.txt" "$smoke/scale8.txt"
 
 # On-demand figure smokes: each must render the same bytes at any host
@@ -108,8 +108,9 @@ go test -race -run 'TestLease|TestRecoverSmoke|TestProtoSeqAndResume|TestEvictId
 go test -race -run 'TestRecoverCell|TestRecoverStoreRoundTrip' ./internal/exp/
 
 # Race pass over the trace-compaction paths: the compact encoder/decoder,
-# the version-checked spill file, and the per-kernel VGV equivalence suite.
-go test -race -run 'TestCompact|TestSpillRejects|TestReadTraceAuto' \
+# the version-checked binary trace file, and the per-kernel VGV
+# equivalence suite.
+go test -race -run 'TestCompact|TestReadTraceAuto' \
     ./internal/vt/ ./internal/vgv/ ./internal/exp/
 
 # Compact smoke: end to end through the CLIs, a suppressed run's compact
